@@ -1045,12 +1045,11 @@ let study_cmd =
   in
   let load_arg =
     Arg.(
-      value & opt (some float) None
+      value & opt float 600.0
       & info [ "per-shard-load" ] ~docv:"R"
           ~doc:
-            "Offered load per shard, req/s (total load = R × shards, split over \
-             the population). Default 600 for $(b,--scale); 3000 for \
-             $(b,--verify-batching), whose point is the deep-queue regime.")
+            "With $(b,--scale): offered load per shard, req/s (total load = R × \
+             shards, split over the population).")
   in
   let cross_arg =
     Arg.(
@@ -1059,16 +1058,6 @@ let study_cmd =
           ~doc:
             "With $(b,--scale): fraction of requests that also touch a second \
              shard (scored by the slower leg).")
-  in
-  let verify_arg =
-    Arg.(
-      value & flag
-      & info [ "verify-batching" ]
-          ~doc:
-            "Equivalence + speed gate for the batched-hop engine: run the \
-             64-shard / million-client hot cell with batched network hops on \
-             and off, require byte-identical metrics and identical results, and \
-             report the measured single-run speedup.")
   in
   let run_scale n csv out seed jobs shards clients per_shard_load cross =
     let module Scale = Repro_shard.Scale in
@@ -1129,75 +1118,11 @@ let study_cmd =
         shards
     end
   in
-  (* Wallclock timing is deliberately confined to the CLI (the lint bans it
-     in lib/): the engine equivalence is judged on bytes, the speedup on
-     this one measured pair of runs. Single-run speed means jobs = 1. *)
-  let run_verify_batching seed per_shard_load =
-    let module Scale = Repro_shard.Scale in
-    let module Shard = Repro_shard.Shard in
-    (* The plan is a pure function of (seed, profile, horizon) — the
-       batched_hops param never touches it — so build the million-client
-       plan once and share it: the timed region is the event-loop phase
-       alone, which is the engine the gate is about. *)
-    let plan = Shard.plan (Scale.hot_cell ~seed ~per_shard_load ~batched:true ()) in
-    let run_once batched =
-      let config = Scale.hot_cell ~seed ~per_shard_load ~batched () in
-      let obs = Repro_obs.Obs.create ~max_events:0 () in
-      let t0 = Unix.gettimeofday () in
-      let r = Shard.run_planned ~jobs:1 ~obs config plan in
-      let dt = Unix.gettimeofday () -. t0 in
-      (r, String.concat "\n" (Repro_obs.Jsonl.metric_lines ~tags:[] obs), dt)
-    in
-    (* Interleave the two engines and keep each one's best: back-to-back
-       blocks of the same variant would fold machine drift (frequency
-       scaling, background load) into the ratio. Alternating the order
-       within each pair cancels ordering effects too. *)
-    let best_b = ref infinity and best_u = ref infinity in
-    let rb, mb, _ = run_once true in
-    let ru, mu, _ = run_once false in
-    for i = 1 to 5 do
-      let pair = if i land 1 = 0 then [ true; false ] else [ false; true ] in
-      List.iter
-        (fun batched ->
-          let _, _, dt = run_once batched in
-          let best = if batched then best_b else best_u in
-          if dt < !best then best := dt)
-        pair
-    done;
-    let tb = !best_b and tu = !best_u in
-    Fmt.pr "hot cell: modular, 64 shards x 1M clients, batched hops ON@.";
-    Fmt.pr "  %a@.  wallclock %.2fs (best of 5 interleaved)@." Shard.pp_result rb tb;
-    Fmt.pr "hot cell: batched hops OFF (per-copy event posts)@.";
-    Fmt.pr "  %a@.  wallclock %.2fs (best of 5 interleaved)@." Shard.pp_result ru tu;
-    let identical =
-      rb.Shard.events_executed = ru.Shard.events_executed
-      && rb.Shard.latency_ms.Stats.mean = ru.Shard.latency_ms.Stats.mean
-      && rb.Shard.cross_latency_ms.Stats.mean
-         = ru.Shard.cross_latency_ms.Stats.mean
-      && rb.Shard.throughput = ru.Shard.throughput
-      && String.equal mb mu
-    in
-    if identical then begin
-      Fmt.pr
-        "byte-identical: yes (metrics, latency, throughput, %d events) — \
-         speedup x%.2f@."
-        rb.Shard.events_executed (tu /. tb);
-      `Ok ()
-    end
-    else `Error (false, "batched and unbatched runs diverged — engine bug")
-  in
-  let run n csv adversary scale verify out seed jobs shards clients
-      per_shard_load cross =
+  let run n csv adversary scale out seed jobs shards clients per_shard_load
+      cross =
     let jobs = resolve_jobs jobs in
-    (* The batching gate defaults to the deep-queue regime: at light load
-       the per-link rings rarely hold more than one frame and the two
-       engines are indistinguishable (x1.00). *)
-    if verify then
-      run_verify_batching seed (Option.value per_shard_load ~default:3000.0)
-    else if scale then begin
-      run_scale n csv out seed jobs shards clients
-        (Option.value per_shard_load ~default:600.0)
-        cross;
+    if scale then begin
+      run_scale n csv out seed jobs shards clients per_shard_load cross;
       `Ok ()
     end
     else begin
@@ -1218,9 +1143,8 @@ let study_cmd =
           million-client workloads (EXPERIMENTS.md S-scale).")
     Term.(
       ret
-        (const run $ n_arg $ csv_arg $ adversary_arg $ scale_arg $ verify_arg
-       $ out_arg $ seed_arg $ jobs_arg $ shards_arg $ clients_arg $ load_arg
-       $ cross_arg))
+        (const run $ n_arg $ csv_arg $ adversary_arg $ scale_arg $ out_arg
+       $ seed_arg $ jobs_arg $ shards_arg $ clients_arg $ load_arg $ cross_arg))
 
 (* ---- compare: regression gate over two benchmark reports ---- *)
 
@@ -1577,8 +1501,7 @@ let main_cmd =
       `I
         ( "$(b,study)",
           "the modularity-cost-under-faults study (S-faults table); --scale for \
-           the sharded modularity-cost-vs-scale study; --verify-batching for \
-           the batched-hop equivalence + speed gate." );
+           the sharded modularity-cost-vs-scale study." );
       `I ("$(b,compare)", "regression gate over two bench --json-out reports.");
       `I ("$(b,critical-path)", "per-delivery latency attribution from a span trace.");
       `I ("$(b,lint)", "determinism & modularity-boundary static analysis (.cmt based).");

@@ -45,8 +45,7 @@ let create ~kind ~params ?(fd_mode = `Good_run) ?(record_deliveries = true)
   Obs.set_clock obs (fun () -> Engine.now engine);
   let network =
     Network.create engine ~wire:params.Params.wire ?topology:params.Params.topology
-      ~kind_of:Wire_msg.kind ~layer_of:Wire_msg.layer ~obs
-      ~batched:params.Params.batched_hops ~n:params.Params.n
+      ~kind_of:Wire_msg.kind ~layer_of:Wire_msg.layer ~obs ~n:params.Params.n
       ~payload_bytes:Wire_msg.payload_bytes ()
   in
   (match params.Params.transport with

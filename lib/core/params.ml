@@ -30,7 +30,6 @@ type t = {
   batch_cap : int;
   transport : transport;
   checksums : bool;
-  batched_hops : bool;
   modular : modular_opts;
   mono : mono_opts;
 }
@@ -47,7 +46,6 @@ let default ~n =
     batch_cap = 64;
     transport = Tcp_like;
     checksums = true;
-    batched_hops = true;
     modular =
       { consensus_variant = Ct_optimized; rbcast_variant = Majority; decision_tag_only = true };
     mono =

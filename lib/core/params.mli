@@ -82,12 +82,6 @@ type t = {
           loss. With checksums off, tampered copies are processed as if
           genuine (silent corruption; the {!Repro_fault} monitor's
           integrity/agreement invariants are the only net). *)
-  batched_hops : bool;
-      (** Drive the wire through {!Repro_net.Network}'s batched-hop rings
-          (one pump event per busy link) instead of one engine event per
-          in-flight copy. Observationally identical either way — the knob
-          exists so the equivalence is testable and the speedup
-          measurable; leave it on. *)
   modular : modular_opts;
   mono : mono_opts;
 }

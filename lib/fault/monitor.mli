@@ -37,10 +37,9 @@ open Repro_core
     virtual time, the run's seed and the offending fault schedule — the
     triple that reproduces the run bit-for-bit.
 
-    The monitor generalizes {!Repro_core.Order_checker} (which predates
-    it and remains for light-weight assertions): it adds validity,
-    final agreement/liveness, and the seed + schedule reproduction
-    context the campaign needs. *)
+    The monitor is the repository's one delivery-order checker: tests
+    that only need total order on a good run attach it too and read
+    {!violations} after {!check_final}. *)
 
 type invariant =
   | Integrity

@@ -71,36 +71,6 @@ let topology_fields =
        kind strings, repopulated on demand; it rides the world blob and
        capturing it in the codec would be dead weight. *)
     ("net.Network", "t", "kind_ctrs");
-    (* Batched-hop wire state: in-flight frames (payloads included), the
-       per-link rings holding them and the busy-link heap ride the world
-       blob with the pending-event closures they replace; [restore]
-       count-checks [frames_in_flight] the same way [Event_queue.restore]
-       count-checks [pending]. [link.l_len] is deliberately absent here —
-       it is the one field the codec does read, through
-       [frames_in_flight]. *)
-    ("net.Network", "frame", "f_at");
-    ("net.Network", "frame", "f_seq");
-    ("net.Network", "frame", "f_sid");
-    ("net.Network", "frame", "f_msg");
-    ("net.Network", "link", "l_ring");
-    ("net.Network", "link", "l_head");
-    ("net.Network", "link", "l_pos");
-    ("net.Network", "t", "h_links");
-    ("net.Network", "t", "h_len");
-    (* Cached copy of the head frame's (arrival, ticket) key, maintained
-       so heap sifts compare plain ints instead of chasing the ring;
-       derived from [l_ring]/[l_head] above and rebuilt with them. *)
-    ("net.Network", "link", "l_key_ns");
-    ("net.Network", "link", "l_key_seq");
-    (* The engine's cosource slots are runtime wiring, not state:
-       [cs_fire] is a closure attached once by [Network.create] when the
-       world is (re)built (exactly like the handler slots the arrow rule
-       already exempts — [cs_attached] just records that it happened),
-       and [cs_ns]/[cs_seq] mirror the cosource's front key, republished
-       by the network whenever its heap root moves. *)
-    ("sim.Engine", "t", "cs_ns");
-    ("sim.Engine", "t", "cs_seq");
-    ("sim.Engine", "t", "cs_attached");
   ]
 
 let unit_name = function Some u -> Boundaries.unit_name u | None -> ""

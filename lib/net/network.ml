@@ -44,37 +44,6 @@ type adversary_stats = {
   adv_equivocated : int;
 }
 
-(* A flat, pooled record of one in-flight hop on a directed link: the
-   clamped arrival instant, the schedule-order ticket reserved for it at
-   transmit time, the transmit span it parents, and the payload. Ring
-   slots are mutated in place, so the steady-state wire path allocates
-   nothing. *)
-type 'msg frame = {
-  mutable f_at : Time.t;
-  mutable f_seq : int;
-  mutable f_sid : int;
-  mutable f_msg : 'msg;
-}
-
-(* Per directed link: a circular buffer of frames sorted by
-   [(f_at, f_seq)] — the FIFO clamp makes arrivals non-decreasing and
-   tickets are reserved in push order, so appending keeps it sorted. Busy
-   links (non-empty rings) sit in the network's head heap, keyed by their
-   head frame; [l_pos] is the link's heap slot, [-1] while idle. *)
-type 'msg link = {
-  l_src : Pid.t;
-  l_dst : Pid.t;
-  mutable l_ring : 'msg frame array; (* capacity is a power of two *)
-  mutable l_head : int;
-  mutable l_len : int;
-  mutable l_pos : int;
-  (* The head frame's [(f_at, f_seq)] key, copied out whenever the head
-     changes: heap sifts compare plain int fields instead of chasing
-     [l_ring.(l_head)] — the hot comparison of the batched wire path. *)
-  mutable l_key_ns : int;
-  mutable l_key_seq : int;
-}
-
 type 'msg t = {
   engine : Engine.t;
   wire : Wire.t;
@@ -102,19 +71,6 @@ type 'msg t = {
   ctr_payload : string array;
   ctr_wire : string array;
   kind_ctrs : (string, string) Hashtbl.t;
-  (* Batched hops: in-flight copies live in flat per-link frame rings and
-     re-enter the engine through its cosource merge, instead of one queue
-     event (and one closure) per copy. Byte-identical to the unbatched
-     schedule (see the comment block above [cs_fire]); bypassed while an
-     adversary is armed, because adversarial reordering breaks the
-     per-link arrival monotonicity the rings rely on. *)
-  batched : bool;
-  links : 'msg link option array array; (* created lazily per busy link *)
-  (* Binary min-heap of the busy links, keyed by the head frame's
-     [(f_at, f_seq)]; its root is the network's earliest pending
-     delivery — what the engine's cosource peeks. *)
-  mutable h_links : 'msg link array;
-  mutable h_len : int;
   mutable loss_rate : float;
   mutable extra_delay : Time.span;
   mutable adversary : 'msg adversary option;
@@ -128,9 +84,6 @@ let layer_index = function
   | `Rbcast -> 2
   | `Net -> 3
   | `App -> 4
-
-(* [create] lives below the batched-hop machinery: registering the
-   cosource needs [cs_fire], which needs [deliver]. *)
 
 let n t = Array.length t.nodes
 let engine t = t.engine
@@ -299,186 +252,8 @@ let deliver t ~src ~dst ~sid msg =
           | None -> ())
   end
 
-(* ---- Batched hops (DESIGN.md §16) ----
-
-   Without batching, every admitted copy posts its own delivery closure on
-   the calendar queue. With [t.batched] (the default; bypassed while a
-   message adversary is armed) admitted copies never touch the queue:
-   each is written into a flat pooled frame in its link's ring, the busy
-   links sit in a small min-heap keyed by their head frame, and the heap
-   root is what the engine's cosource merge executes ([Engine.cosource]).
-
-   Why this is byte-identical to the unbatched schedule: a schedule-order
-   ticket is reserved for every admitted copy at the moment the unbatched
-   path would have posted it ([Engine.reserve_seq] in [transmit_copy]), so
-   the global tie-break ranks are unchanged. The FIFO clamp makes per-link
-   arrivals non-decreasing and tickets increase in push order, so each
-   ring is always sorted by [(arrival, ticket)] — the link's head frame is
-   its earliest copy, and the heap root is the network-wide earliest. The
-   engine's merge loop executes queue events and frames in ascending
-   [(instant, ticket)] order, which by ticket uniqueness is exactly the
-   pop order of one queue holding both streams: deliveries, RNG draw
-   order, span instants, [events_executed] and every counter are
-   unchanged. What changes is the cost model — a delivery costs a ring
-   append plus (only when its link's head changes) an O(log links) sift on
-   a heap of at most n(n-1) entries, instead of a calendar insert, a
-   scan/pop and a per-copy closure. *)
-
-let new_frame ~at ~seq ~sid msg = { f_at = at; f_seq = seq; f_sid = sid; f_msg = msg }
-
-(* [a]'s head frame sorts before [b]'s. Only called on busy links, whose
-   cached head keys are current. *)
-let link_lt a b =
-  a.l_key_ns < b.l_key_ns
-  || (a.l_key_ns = b.l_key_ns && a.l_key_seq < b.l_key_seq)
-
-let rec sift_up t i =
-  if i > 0 then begin
-    let p = (i - 1) / 2 in
-    let li = t.h_links.(i) and lp = t.h_links.(p) in
-    if link_lt li lp then begin
-      t.h_links.(i) <- lp;
-      lp.l_pos <- i;
-      t.h_links.(p) <- li;
-      li.l_pos <- p;
-      sift_up t p
-    end
-  end
-
-let rec sift_down t i =
-  let c1 = (2 * i) + 1 in
-  if c1 < t.h_len then begin
-    let c =
-      let c2 = c1 + 1 in
-      if c2 < t.h_len && link_lt t.h_links.(c2) t.h_links.(c1) then c2 else c1
-    in
-    let li = t.h_links.(i) and lc = t.h_links.(c) in
-    if link_lt lc li then begin
-      t.h_links.(i) <- lc;
-      lc.l_pos <- i;
-      t.h_links.(c) <- li;
-      li.l_pos <- c;
-      sift_down t c
-    end
-  end
-
-let heap_push t l =
-  if t.h_len = Array.length t.h_links then begin
-    let grown = Array.make (max 8 (2 * t.h_len)) l in
-    Array.blit t.h_links 0 grown 0 t.h_len;
-    t.h_links <- grown
-  end;
-  t.h_links.(t.h_len) <- l;
-  l.l_pos <- t.h_len;
-  t.h_len <- t.h_len + 1;
-  sift_up t (t.h_len - 1)
-
-let heap_remove_root t =
-  let l = t.h_links.(0) in
-  l.l_pos <- -1;
-  t.h_len <- t.h_len - 1;
-  if t.h_len > 0 then begin
-    let last = t.h_links.(t.h_len) in
-    t.h_links.(0) <- last;
-    last.l_pos <- 0;
-    sift_down t 0
-  end
-
-(* Publish the heap root's head frame — the network-wide earliest
-   in-flight copy — as the engine's cosource front. Called after every
-   mutation that can move the root; the engine's merged drain loop then
-   reads the front as two plain fields instead of polling a closure per
-   event (see [Engine.cosource_front]). *)
-let publish_front t =
-  if t.h_len = 0 then Engine.cosource_front t.engine ~ns:max_int ~seq:0
-  else
-    let l = t.h_links.(0) in
-    Engine.cosource_front t.engine ~ns:l.l_key_ns ~seq:l.l_key_seq
-
-(* The engine cosource fire: pop the heap root's head frame, re-key the
-   heap, publish the new front, then deliver. The heap is fixed *before*
-   the delivery runs so transmits from the receive handler (which may
-   push this or any other link) always see a consistent structure. The
-   frame's fields are copied out first: the handler may append to this
-   ring and recycle the popped slot. *)
-let cs_fire t =
-  let l = t.h_links.(0) in
-  let f = l.l_ring.(l.l_head) in
-  let sid = f.f_sid and msg = f.f_msg in
-  l.l_head <- (l.l_head + 1) land (Array.length l.l_ring - 1);
-  l.l_len <- l.l_len - 1;
-  if l.l_len = 0 then heap_remove_root t
-  else begin
-    let nf = l.l_ring.(l.l_head) in
-    l.l_key_ns <- Time.to_ns nf.f_at;
-    l.l_key_seq <- nf.f_seq;
-    sift_down t 0
-  end;
-  publish_front t;
-  deliver t ~src:l.l_src ~dst:l.l_dst ~sid msg
-
-let get_link t ~src ~dst msg =
-  match t.links.(src).(dst) with
-  | Some l -> l
-  | None ->
-    let l =
-      {
-        l_src = src;
-        l_dst = dst;
-        l_ring =
-          Array.init 8 (fun _ ->
-              new_frame ~at:Time.zero ~seq:0 ~sid:Obs.Span.no_parent msg);
-        l_head = 0;
-        l_len = 0;
-        l_pos = -1;
-        l_key_ns = 0;
-        l_key_seq = 0;
-      }
-    in
-    t.links.(src).(dst) <- Some l;
-    l
-
-let link_grow l msg =
-  let cap = Array.length l.l_ring in
-  let ring =
-    Array.init (2 * cap) (fun i ->
-        if i < l.l_len then l.l_ring.((l.l_head + i) land (cap - 1))
-        else new_frame ~at:Time.zero ~seq:0 ~sid:Obs.Span.no_parent msg)
-  in
-  l.l_ring <- ring;
-  l.l_head <- 0
-
-(* Append an admitted copy to its link ring. Appending keeps the ring
-   sorted (see the block comment above); only an idle link's head — hence
-   heap key — changes, so pushes to a busy link cost no heap work. *)
-let link_push t ~src ~dst ~arrival ~seq ~sid msg =
-  let l = get_link t ~src ~dst msg in
-  if l.l_len = Array.length l.l_ring then link_grow l msg;
-  let f = l.l_ring.((l.l_head + l.l_len) land (Array.length l.l_ring - 1)) in
-  f.f_at <- arrival;
-  f.f_seq <- seq;
-  f.f_sid <- sid;
-  f.f_msg <- msg;
-  l.l_len <- l.l_len + 1;
-  if l.l_len = 1 then begin
-    (* Only a formerly-idle link can change the heap root (a busy link's
-       head — its key — is untouched by an append). *)
-    l.l_key_ns <- Time.to_ns arrival;
-    l.l_key_seq <- seq;
-    heap_push t l;
-    publish_front t
-  end
-
-let frames_in_flight t =
-  Array.fold_left
-    (fun acc row ->
-      Array.fold_left
-        (fun acc lk -> match lk with Some l -> acc + l.l_len | None -> acc)
-        acc row)
-    0 t.links
-
 let create engine ?(wire = Wire.default) ?topology ?(kind_of = fun _ -> "msg")
-    ?(layer_of = fun _ -> `Net) ?(obs = Obs.noop) ?(batched = true) ~n
+    ?(layer_of = fun _ -> `Net) ?(obs = Obs.noop) ~n
     ~payload_bytes () =
   if n < 1 then invalid_arg "Network.create: n must be >= 1";
   let node _ =
@@ -515,16 +290,11 @@ let create engine ?(wire = Wire.default) ?topology ?(kind_of = fun _ -> "msg")
       ctr_payload = interned "net.payload_bytes.";
       ctr_wire = interned "net.wire_bytes.";
       kind_ctrs = Hashtbl.create 16;
-      batched;
-      links = Array.init n (fun _ -> Array.make n None);
-      h_links = [||];
-      h_len = 0;
       loss_rate = 0.0;
       extra_delay = Time.span_zero;
       adversary = None;
     }
   in
-  if batched then Engine.set_cosource engine ~fire:(fun () -> cs_fire t);
   t
 
 (* Layer-attributed traffic accounting: the [Net_stats] totals split by
@@ -666,16 +436,8 @@ let transmit_copy t ?(adv_drop = false) ~src ~dst ~payload_bytes ~parent msg =
         Time.add arrival (Time.span_ns extra)
       | _ -> arrival
     in
-    (* The batched path reserves the exact schedule-order ticket the
-       [Engine.post_at] below would have consumed, so both paths advance
-       the engine's insertion counter identically. *)
-    (match t.adversary with
-    | None when t.batched ->
-      let seq = Engine.reserve_seq t.engine in
-      link_push t ~src ~dst ~arrival ~seq ~sid:tx_sid msg
-    | _ ->
-      Engine.post_at t.engine arrival (fun () ->
-          deliver t ~src ~dst ~sid:tx_sid msg));
+    Engine.post_at t.engine arrival (fun () ->
+        deliver t ~src ~dst ~sid:tx_sid msg);
     (* Adversarial duplication: a second arrival of the same copy shortly
        after the first, also outside the FIFO clamp. *)
     match t.adversary with
@@ -893,11 +655,6 @@ let snapshot t =
   Snapshot.make ~name:section_name ~version:1 ~data
     ([
        ("n", Snapshot.Int (Array.length t.nodes));
-       ("batched", Snapshot.Bool t.batched);
-       (* In-flight frames live in link rings (closures and payloads ride
-          the world blob, like queue contents); the count is recorded so a
-          restore can check the blob carried them. *)
-       ("frames_in_flight", Snapshot.Int (frames_in_flight t));
        ("loss_rate", Snapshot.Float t.loss_rate);
        ("extra_delay_ns", Snapshot.Int (Time.span_to_ns t.extra_delay));
        ( "crashed",
@@ -918,18 +675,6 @@ let restore t s =
       (Snapshot.Codec_error
          (Printf.sprintf "net.network: snapshot has n=%d, live network has n=%d"
             (Snapshot.get_int s "n") n));
-  if Snapshot.get_bool s "batched" <> t.batched then
-    raise
-      (Snapshot.Codec_error
-         "net.network: snapshot and live network disagree on batched hops");
-  let frames = Snapshot.get_int s "frames_in_flight" in
-  if frames <> frames_in_flight t then
-    raise
-      (Snapshot.Codec_error
-         (Printf.sprintf
-            "net.network: %d in-flight frames recorded but %d live; frames \
-             travel only in the world blob"
-            frames (frames_in_flight t)));
   t.loss_rate <- Snapshot.get_float s "loss_rate";
   t.extra_delay <- Time.span_ns (Snapshot.get_int s "extra_delay_ns");
   let (d : net_data) = Snapshot.unpack_data s in

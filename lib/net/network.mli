@@ -43,7 +43,6 @@ val create :
   ?kind_of:('msg -> string) ->
   ?layer_of:('msg -> Repro_obs.Obs.layer) ->
   ?obs:Repro_obs.Obs.t ->
-  ?batched:bool ->
   n:int ->
   payload_bytes:('msg -> int) ->
   unit ->
@@ -53,17 +52,6 @@ val create :
     timing and traffic accounting. [kind_of] (default: constant ["msg"])
     labels messages for the per-kind statistics. [topology] overrides the
     wire model's uniform propagation latency per link.
-
-    [batched] (default [true]) selects the batched-hop wire path: each
-    directed link keeps a flat ring of pooled in-flight hop records and at
-    most one pending engine event (a pump armed under the head record's
-    reserved schedule-order ticket), instead of one queue event per copy.
-    The observable run — deliveries, RNG draws, span instants, counters,
-    [events_executed] — is byte-identical to [batched:false]; only
-    resident queue cells and wallclock change. Arming a message adversary
-    silently reverts new traffic to the unbatched path (adversarial
-    reordering breaks the per-link FIFO monotonicity the ring exploits),
-    which is no observable change either.
 
     [obs] (default: the no-op sink) receives layer-attributed traffic
     counters ([net.msgs.<layer>], [net.payload_bytes.<layer>],

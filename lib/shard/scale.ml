@@ -111,17 +111,3 @@ let row_json r =
 let pp_row ppf r =
   Fmt.pf ppf "s=%-3d c=%-8d %a" r.row_shards r.row_clients Shard.pp_result
     r.row_result
-
-(* The 64-shard high-load cell the batched-hop engine is sized against.
-   The CLI times one run of this config with batched hops on and off and
-   diffs the observable bytes — the measured-speedup + byte-identity gate
-   (PERF.md has the recorded numbers). *)
-let hot_cell ?(kind = Replica.Modular) ?(shards = 64) ?(clients = 1_000_000)
-    ?(per_shard_load = 600.0) ?(n = 3) ?(warmup_s = 0.25) ?(measure_s = 1.0)
-    ?(seed = 0) ~batched () =
-  let profile =
-    cell_profile ~per_shard_load ~cross_fraction:0.05 ~shards ~clients
-      ~warmup_s ~measure_s
-  in
-  let params = { (Params.default ~n) with Params.batched_hops = batched } in
-  Shard.config ~kind ~shards ~n ~profile ~warmup_s ~measure_s ~seed ~params ()

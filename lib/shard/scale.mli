@@ -48,20 +48,3 @@ val row_json : row -> Repro_obs.Jsonl.json
 (** One JSONL record per cell (virtual-time fields only). *)
 
 val pp_row : row Fmt.t
-
-val hot_cell :
-  ?kind:Replica.kind ->
-  ?shards:int ->
-  ?clients:int ->
-  ?per_shard_load:float ->
-  ?n:int ->
-  ?warmup_s:float ->
-  ?measure_s:float ->
-  ?seed:int ->
-  batched:bool ->
-  unit ->
-  Shard.config
-(** The 64-shard / million-client cell used to gate the batched-hop
-    engine: the CLI runs it with [batched] on and off, times both, and
-    requires byte-identical observable output (see [repro study --scale
-    --verify-batching]). *)

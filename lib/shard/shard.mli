@@ -73,8 +73,8 @@ val plan : config -> Population.plan
 val run_planned :
   ?jobs:int -> ?obs:Repro_obs.Obs.t -> config -> Population.plan -> result
 (** {!run} on a pre-built plan. [run config = run_planned config (plan
-    config)]; the split lets the CLI's batching gate time the event-loop
-    phase alone, with the (identical, params-independent) million-client
-    plan built once and shared by the batched and unbatched runs. *)
+    config)]; the split lets a caller time the event-loop phase apart
+    from plan construction (the repository benchmark times the two
+    separately). *)
 
 val pp_result : result Fmt.t

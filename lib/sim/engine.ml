@@ -1,26 +1,8 @@
-(* A co-scheduled event source (the batched network): an external store of
-   pending work ordered by the same [(time, seq)] key space as the
-   calendar queue — seqs drawn from {!reserve_seq}, so the two streams
-   interleave into one total order. The run loops merge it with the queue
-   instead of the source materialising one queue event per item.
-
-   The source's front key lives *here*, in [cs_ns]/[cs_seq], pushed by
-   the source whenever its front changes ([cosource_front]) rather than
-   polled through a closure per event: the merged drain loop then costs
-   two loads and two compares per queue event, the difference between
-   batching paying for itself and not (see PERF.md). [cs_ns = max_int]
-   means the source is empty (or absent). The refs are shared with
-   [Event_queue.pop_apply_bounded] so the queue's internal loop sees
-   front changes made by the handlers it applies. *)
 type t = {
   queue : (unit -> unit) Event_queue.t;
   mutable clock : Time.t;
   root_rng : Rng.t;
   mutable executed : int;
-  cs_ns : int ref; (* cosource front instant in ns; max_int = empty *)
-  cs_seq : int ref; (* its reserved ticket; meaningful when cs_ns < max_int *)
-  mutable cs_fire : unit -> unit; (* execute exactly the front item *)
-  mutable cs_attached : bool;
 }
 
 type timer = Event_queue.handle
@@ -31,10 +13,6 @@ let create ?(seed = 0) () =
     clock = Time.zero;
     root_rng = Rng.create ~seed;
     executed = 0;
-    cs_ns = ref max_int;
-    cs_seq = ref 0;
-    cs_fire = ignore;
-    cs_attached = false;
   }
 
 let now t = t.clock
@@ -52,17 +30,6 @@ let post_at t time thunk =
 
 let post_after t delay thunk = post_at t (Time.add t.clock delay) thunk
 let cancel t timer = Event_queue.cancel t.queue timer
-let reserve_seq t = Event_queue.reserve_seq t.queue
-
-let set_cosource t ~fire =
-  if t.cs_attached then
-    invalid_arg "Engine.set_cosource: a cosource is already attached";
-  t.cs_attached <- true;
-  t.cs_fire <- fire
-
-let cosource_front t ~ns ~seq =
-  t.cs_ns := ns;
-  t.cs_seq := seq
 
 (* The single dispatch point of the hot loop: advance the clock, count,
    run. Top-level so [exec t] is one partial application per [run] —
@@ -72,55 +39,19 @@ let exec t time thunk =
   t.executed <- t.executed + 1;
   thunk ()
 
-(* Merged loop: execute queue events and cosource items in ascending
-   [(time, seq)] order up to [limit] inclusive. The queue drains itself
-   up to the cosource front (re-reading [cs_ns]/[cs_seq] every
-   iteration, because any handler may feed the source earlier work);
-   when it parks, whatever the source holds inside the limit is the
-   global front, so fire it and go again. Ticket uniqueness (both
-   streams draw seqs from the queue's counter) makes the order total, so
-   the merged execution sequence is exactly what one queue holding both
-   streams would pop — the byte-identity argument for batched hops. *)
-let rec run_merged t limit limit_ns =
-  Event_queue.pop_apply_bounded t.queue ~limit ~bound_ns:t.cs_ns
-    ~bound_seq:t.cs_seq (exec t);
-  let cns = !(t.cs_ns) in
-  if cns <> max_int && cns <= limit_ns then begin
-    t.clock <- Time.of_ns cns;
-    t.executed <- t.executed + 1;
-    t.cs_fire ();
-    run_merged t limit limit_ns
-  end
-
-let step t =
-  let cns = !(t.cs_ns) in
-  if cns = max_int then Event_queue.pop_apply t.queue (exec t)
-  else
-    let qns = Event_queue.peek_ns t.queue in
-    if qns < cns || (qns = cns && Event_queue.peek_seq t.queue < !(t.cs_seq))
-    then Event_queue.pop_apply t.queue (exec t)
-    else begin
-      t.clock <- Time.of_ns cns;
-      t.executed <- t.executed + 1;
-      t.cs_fire ();
-      true
-    end
+let step t = Event_queue.pop_apply t.queue (exec t)
 
 let run t =
-  if t.cs_attached then run_merged t (Time.of_ns max_int) max_int
-  else
-    let f = exec t in
-    while Event_queue.pop_apply t.queue f do
-      ()
-    done
+  let f = exec t in
+  while Event_queue.pop_apply t.queue f do
+    ()
+  done
 
 let run_until t limit =
-  (if t.cs_attached then run_merged t limit (Time.to_ns limit)
-   else
-     let f = exec t in
-     while Event_queue.pop_apply_until t.queue ~limit f do
-       ()
-     done);
+  let f = exec t in
+  while Event_queue.pop_apply_until t.queue ~limit f do
+    ()
+  done;
   if Time.(t.clock < limit) then t.clock <- limit
 
 let pending t = Event_queue.length t.queue

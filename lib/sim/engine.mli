@@ -56,46 +56,12 @@ val post_after : t -> Time.span -> (unit -> unit) -> unit
 val cancel : t -> timer -> unit
 (** Forget a scheduled event. No-op if it already fired or was cancelled. *)
 
-val reserve_seq : t -> int
-(** Draw the schedule-order ticket a {!post_at} issued right now would
-    receive, without posting anything. This is the contract that lets
-    {!Repro_net.Network}'s batched-hop engine keep in-flight deliveries
-    out of the calendar queue while executing them in exactly the order
-    the unbatched schedule would have (see the .mli preamble's determinism
-    obligations — the tie-break rank is part of the observable
-    contract): each delivery carries its reserved ticket and re-enters the
-    run loop through the {!cosource} merge. *)
-
-val set_cosource : t -> fire:(unit -> unit) -> unit
-(** Attach a co-scheduled event source: an external store of pending work
-    ordered by the same [(instant, ticket)] key space as the event queue,
-    tickets drawn from {!reserve_seq}. The run loops merge it with the
-    queue — each iteration executes whichever front is earlier — so the
-    execution sequence is exactly what one queue holding both streams
-    would pop, without the source materialising a queue event per item.
-    The batched {!Repro_net.Network} attaches its per-link frame rings
-    this way.
-
-    The source publishes its front through {!cosource_front} (and must,
-    before any event runs, whenever the front changes); the engine calls
-    [fire] to execute exactly that front item, with the clock already
-    advanced to its instant and the event counted. At most one source per
-    engine — one simulated world has one network.
-    @raise Invalid_argument if one is already attached. *)
-
-val cosource_front : t -> ns:int -> seq:int -> unit
-(** Publish the cosource's current front key: earliest pending instant in
-    ns and its reserved ticket. Pass [ns:max_int] when the source is
-    empty. Kept as plain engine fields rather than polled through a
-    closure so the merged drain loop costs two loads and two compares per
-    queue event (see {!Event_queue.pop_apply_bounded}). *)
-
 val step : t -> bool
-(** Execute the single earliest pending event (queue or cosource). [false]
-    if none remained. *)
+(** Execute the single earliest pending event. [false] if none
+    remained. *)
 
 val run : t -> unit
-(** Execute events until the queue (and any cosource) is empty. *)
+(** Execute events until the queue is empty. *)
 
 val run_until : t -> Time.t -> unit
 (** Execute events with instants [<=] the limit, then set the clock to the

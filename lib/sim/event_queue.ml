@@ -202,16 +202,12 @@ let resize t s =
     s.bucket_top <- window_top s !tmin
   end
 
-let reserve_seq t =
+(* Insert under the next insertion sequence number. [insert] keeps
+   buckets sorted by [(time, seq)], so same-instant events pop in
+   insertion order. *)
+let push_cell t ~time value =
   let seq = t.next_seq in
   t.next_seq <- seq + 1;
-  seq
-
-(* Insert with an explicit sequence number — either freshly drawn by the
-   caller ([push_cell]) or reserved earlier via [reserve_seq]. [insert]
-   keeps buckets sorted by [(time, seq)], so a reserved seq arriving after
-   younger seqs lands exactly where an immediate insertion would have. *)
-let push_cell_seq t ~time ~seq value =
   let s =
     match t.slots with
     | Some s -> s
@@ -246,16 +242,11 @@ let push_cell_seq t ~time ~seq value =
   if t.size > 2 * (s.mask + 1) then resize t s;
   cell
 
-let push_cell t ~time value = push_cell_seq t ~time ~seq:(reserve_seq t) value
-
 let push t ~time value =
   let cell = push_cell t ~time value in
   H (cell, cell.seq)
 
 let push_unit t ~time value = ignore (push_cell t ~time value : _ cell)
-
-let push_reserved t ~time ~seq value =
-  ignore (push_cell_seq t ~time ~seq value : _ cell)
 
 (* Full cycle without a hit: the next event is more than one year ahead.
    Take the minimum over bucket heads directly and jump the scan there.
@@ -358,42 +349,6 @@ let pop_apply t f =
       true
     end
 
-(* The engine's merged hot loop: drain events in ascending [(time, seq)]
-   order while the front precedes both the [limit] instant (inclusive)
-   and the cosource bound [(!bound_ns, !bound_seq)] (exclusive — the
-   bound names an item the caller executes itself). The bound refs are
-   re-read every iteration, because an applied handler may hand the
-   co-scheduled source new work that precedes the old bound; a stale
-   bound would let a later queue event run first. Per-event overhead
-   versus [pop_apply] is two loads and two compares — no closure calls,
-   which is what makes the merged loop cheaper than materialising one
-   queue event per co-scheduled item. *)
-let pop_apply_bounded t ~limit ~bound_ns ~bound_seq f =
-  match t.slots with
-  | None -> ()
-  | Some s ->
-    let limit_ns = ns limit in
-    let continue_ = ref true in
-    while !continue_ do
-      let front = find_front t s in
-      if is_nil front then continue_ := false
-      else begin
-        let tns = ns front.time in
-        if tns > limit_ns then continue_ := false
-        else begin
-          let bns = !bound_ns in
-          if bns < tns || (bns = tns && !bound_seq < front.seq) then
-            continue_ := false
-          else begin
-            let time = front.time and value = front.value in
-            take_front t s front;
-            free_cell s front;
-            f time value
-          end
-        end
-      end
-    done
-
 let pop_apply_until t ~limit f =
   match t.slots with
   | None -> false
@@ -414,23 +369,6 @@ let peek_time t =
   | Some s ->
     let front = find_front t s in
     if is_nil front then None else Some front.time
-
-(* Allocation-free peeks for the engine's merge loop: [max_int] when the
-   queue is empty. [find_front] leaves the scan parked on the front cell,
-   so the second peek (and the pop that follows) re-find it in O(1). *)
-let peek_ns t =
-  match t.slots with
-  | None -> max_int
-  | Some s ->
-    let front = find_front t s in
-    if is_nil front then max_int else ns front.time
-
-let peek_seq t =
-  match t.slots with
-  | None -> max_int
-  | Some s ->
-    let front = find_front t s in
-    if is_nil front then max_int else front.seq
 
 let is_empty t = t.pending = 0
 let length t = t.pending

@@ -38,21 +38,6 @@ val push_unit : 'a t -> time:Time.t -> 'a -> unit
 (** {!push} without materialising a handle — the zero-allocation path for
     the overwhelmingly common fire-and-forget schedule. *)
 
-val reserve_seq : 'a t -> int
-(** Draw the next insertion sequence number without inserting anything.
-    The ticket occupies the exact ordering slot a {!push} at that moment
-    would have taken; hand it back through {!push_reserved}. A batching
-    layer uses this to defer materialising an event (one pump event stands
-    in for many reserved deliveries) while keeping the pop order — hence
-    every downstream byte — identical to the unbatched schedule. Each
-    reserved ticket must be pushed at most once. *)
-
-val push_reserved : 'a t -> time:Time.t -> seq:int -> 'a -> unit
-(** Insert an event under a sequence number previously drawn with
-    {!reserve_seq}. Pop order remains ascending [(time, seq)]; the only
-    difference from {!push_unit} is that the tie-break rank was fixed at
-    reservation time rather than at insertion time. *)
-
 val cancel : 'a t -> handle -> unit
 (** Remove the event named by the handle, if it is still pending.
     Cancelling an already-popped or already-cancelled event is a no-op. *)
@@ -71,35 +56,8 @@ val pop_apply_until : 'a t -> limit:Time.t -> (Time.t -> 'a -> unit) -> bool
 (** Like {!pop_apply} but leaves the queue untouched (returning [false])
     when the earliest pending event is later than [limit]. *)
 
-val pop_apply_bounded :
-  'a t ->
-  limit:Time.t ->
-  bound_ns:int ref ->
-  bound_seq:int ref ->
-  (Time.t -> 'a -> unit) ->
-  unit
-(** Drain events in ascending [(time, seq)] order while the front
-    precedes both [limit] (inclusive) and the bound
-    [(!bound_ns, !bound_seq)] (exclusive). The engine's merged hot loop:
-    the bound is the front of a co-scheduled event source (see
-    {!Repro_sim.Engine.set_cosource}), passed as refs and re-read every
-    iteration because [f] may hand the source new, earlier work. Returns
-    with the queue parked on the first event at or past the bound/limit,
-    or empty. *)
-
 val peek_time : 'a t -> Time.t option
 (** The instant of the earliest pending event without removing it. *)
-
-val peek_ns : 'a t -> int
-(** The earliest pending instant in nanoseconds, [max_int] when the queue
-    is empty — the allocation-free peek of the engine's merge loop. The
-    scan state is left parked on the front event, so a directly following
-    {!peek_seq} or pop re-finds it in O(1). *)
-
-val peek_seq : 'a t -> int
-(** The sequence number of the earliest pending event, [max_int] when
-    empty. Call directly after {!peek_ns} to read the full [(time, seq)]
-    key of the front event. *)
 
 val is_empty : 'a t -> bool
 (** No pending (non-cancelled) events. *)

@@ -1,5 +1,6 @@
 (* Unit tests for the core data types: application messages, batches, the
-   wire-size model, parameters, flow control, and the order checker. *)
+   wire-size model, parameters, flow control, and order checking through
+   the fault layer's monitor. *)
 
 open Repro_sim
 open Repro_core
@@ -179,54 +180,38 @@ let test_flow_control () =
     (Invalid_argument "Flow_control.create: window must be >= 1") (fun () ->
       ignore (Flow_control.create ~window:0))
 
-(* ---- Order checker ---- *)
+(* ---- Order checking: the fault layer's monitor ---- *)
+
+module Monitor = Repro_fault.Monitor
 
 let id origin seq = { App_msg.origin; seq }
 
 let test_checker_accepts_total_order () =
-  let c = Order_checker.create ~n:3 in
+  let m = Monitor.create ~n:3 () in
   List.iter
     (fun pid ->
-      Order_checker.observe c pid (id 0 0);
-      Order_checker.observe c pid (id 1 0))
+      Monitor.observe m pid (id 0 0);
+      Monitor.observe m pid (id 1 0))
     [ 0; 1; 2 ];
   Alcotest.(check (list string)) "no violations" []
-    (List.map (Fmt.str "%a" Order_checker.pp_violation) (Order_checker.violations c));
-  Alcotest.(check int) "common prefix" 2 (Order_checker.common_prefix_length c);
-  Alcotest.(check (list int)) "nobody lagging" [] (Order_checker.lagging c)
-
-let test_checker_detects_divergence () =
-  let c = Order_checker.create ~n:2 in
-  Order_checker.observe c 0 (id 0 0);
-  Order_checker.observe c 0 (id 1 0);
-  Order_checker.observe c 1 (id 1 0);
-  (* p2 delivered id(1,0) first: order divergence at position 0 *)
-  Alcotest.(check int) "one violation" 1 (List.length (Order_checker.violations c));
-  Alcotest.(check (list int)) "p2 lagging" [ 1 ] (Order_checker.lagging c)
-
-let test_checker_detects_duplicate () =
-  let c = Order_checker.create ~n:1 in
-  Order_checker.observe c 0 (id 0 0);
-  Order_checker.observe c 0 (id 0 0);
-  match Order_checker.violations c with
-  | [ v ] ->
-    Alcotest.(check bool) "describes duplicate" true
-      (String.length v.Order_checker.description > 0)
-  | other -> Alcotest.failf "expected one violation, got %d" (List.length other)
+    (List.map (Fmt.str "%a" Monitor.pp_violation) (Monitor.violations m));
+  Alcotest.(check (list int)) "every process delivered both" [ 2; 2; 2 ]
+    (List.map (Monitor.delivered_count m) [ 0; 1; 2 ])
 
 let test_checker_attached_to_group () =
   let params = Params.default ~n:3 in
   let g = Group.create ~kind:Replica.Monolithic ~params () in
-  let c = Order_checker.create ~n:3 in
-  Order_checker.attach c g;
+  let m = Monitor.create ~n:3 () in
+  Monitor.attach m g;
   for i = 0 to 19 do
     Group.abcast g (i mod 3) ~size:128
   done;
   ignore (Group.run_until_quiescent g ~limit:(Time.span_s 30) ());
-  Alcotest.(check int) "no violations in a good run" 0
-    (List.length (Order_checker.violations c));
+  Monitor.check_final m ~correct:[ 0; 1; 2 ] ~min_delivered:20 ();
+  Alcotest.(check (list string)) "no violations in a good run" []
+    (List.map (Fmt.str "%a" Monitor.pp_violation) (Monitor.violations m));
   Alcotest.(check (list int)) "delivered everywhere" [ 20; 20; 20 ]
-    (Array.to_list (Order_checker.delivered_counts c))
+    (List.map (Monitor.delivered_count m) [ 0; 1; 2 ])
 
 let () =
   Alcotest.run "core-types"
@@ -258,8 +243,6 @@ let () =
       ( "order-checker",
         [
           Alcotest.test_case "accepts a total order" `Quick test_checker_accepts_total_order;
-          Alcotest.test_case "detects divergence" `Quick test_checker_detects_divergence;
-          Alcotest.test_case "detects duplicates" `Quick test_checker_detects_duplicate;
           Alcotest.test_case "attached to a group" `Quick test_checker_attached_to_group;
         ] );
     ]

@@ -55,6 +55,35 @@ let test_run_until_quiescent_limit () =
   Alcotest.(check int) "but delivery happened" 1
     (Replica.delivered_count (Group.replica g 0))
 
+(* A bounded quiescence run must stop only when nothing at all is in
+   flight: it has to reach the same point as the unbounded run, for every
+   stack — event count, clock and deliveries alike. *)
+let test_bounded_quiescence_matches_unbounded () =
+  List.iter
+    (fun (name, kind) ->
+      let run limit =
+        let g = make ~kind () in
+        Group.abcast g 0 ~size:100;
+        let quiescent = Group.run_until_quiescent g ?limit () in
+        let engine = Group.engine g in
+        ( quiescent,
+          Engine.events_executed engine,
+          Time.to_ns (Engine.now engine),
+          Array.to_list (Group.delivered_counts g) )
+      in
+      let q1, ev1, ns1, d1 = run (Some (Time.span_s 10)) in
+      let q0, ev0, ns0, d0 = run None in
+      Alcotest.(check bool) (name ^ ": both quiescent") q0 q1;
+      Alcotest.(check int) (name ^ ": events_executed") ev0 ev1;
+      Alcotest.(check int) (name ^ ": clock (ns)") ns0 ns1;
+      Alcotest.(check (list int)) (name ^ ": delivered counts") d0 d1;
+      Alcotest.(check (list int)) (name ^ ": delivered everywhere") [ 1; 1; 1 ] d1)
+    [
+      ("modular", Replica.Modular);
+      ("indirect", Replica.Indirect);
+      ("monolithic", Replica.Monolithic);
+    ]
+
 let test_latency_records_complete () =
   let g = make () in
   for i = 0 to 9 do
@@ -154,6 +183,8 @@ let () =
           Alcotest.test_case "offers and admission" `Quick test_offers_and_admission;
           Alcotest.test_case "crash discards offers" `Quick test_crash_discards_offers;
           Alcotest.test_case "quiescence limit" `Quick test_run_until_quiescent_limit;
+          Alcotest.test_case "bounded quiescence matches unbounded" `Quick
+            test_bounded_quiescence_matches_unbounded;
           Alcotest.test_case "latency records" `Quick test_latency_records_complete;
           Alcotest.test_case "multiple observers" `Quick test_multiple_observers;
           Alcotest.test_case "recording off" `Quick test_record_deliveries_off;

@@ -1,7 +1,7 @@
 (* Tests for the sharding layer (ISSUE 10): router determinism, the
    population plan's shard-count invariance, 1-shard equivalence with the
-   legacy single-group path, batched-hop byte-identity, and
-   jobs-equivalence of sharded runs and the scale study. *)
+   legacy single-group path, and jobs-equivalence of sharded runs and the
+   scale study. *)
 
 module Router = Repro_shard.Router
 module Shard = Repro_shard.Shard
@@ -10,31 +10,11 @@ module Obs = Repro_obs.Obs
 module Jsonl = Repro_obs.Jsonl
 module Rng = Repro_sim.Rng
 module Time = Repro_sim.Time
-module Event_queue = Repro_sim.Event_queue
 open Repro_core
 open Repro_workload
 
 let dump obs = String.concat "\n" (Jsonl.metric_lines ~tags:[] obs)
 let dump_spans obs = String.concat "\n" (Jsonl.span_lines ~tags:[] obs)
-
-(* ---- Event queue: reserved tickets ---- *)
-
-let test_reserved_tickets () =
-  let q = Event_queue.create () in
-  let t1 = Time.of_ns 100 in
-  Event_queue.push_unit q ~time:t1 "a";
-  let ticket = Event_queue.reserve_seq q in
-  Event_queue.push_unit q ~time:t1 "c";
-  (* Inserted after "c", but under the ticket drawn before it: must pop
-     between "a" and "c" — reservation fixes the tie-break rank. *)
-  Event_queue.push_reserved q ~time:t1 ~seq:ticket "b";
-  let order = ref [] in
-  while Event_queue.pop_apply q (fun _ v -> order := v :: !order) do
-    ()
-  done;
-  Alcotest.(check (list string))
-    "same-instant pops follow reservation order" [ "a"; "b"; "c" ]
-    (List.rev !order)
 
 (* ---- Router ---- *)
 
@@ -169,56 +149,6 @@ let test_one_shard_equivalence kind () =
   Alcotest.(check bool) "window had traffic" true
     (per.Experiment.throughput > 0.0)
 
-(* ---- Batched hops: byte-identical to the unbatched wire ---- *)
-
-let batched_result ~kind ~batched =
-  let params = { (Params.default ~n:3) with Params.batched_hops = batched } in
-  let obs = Obs.create () in
-  let config =
-    Experiment.config ~kind ~n:3 ~offered_load:700.0 ~size:1024 ~warmup_s:0.2
-      ~measure_s:0.5 ~seed:4 ~params ~arrival:Generator.Poisson ()
-  in
-  let r = Experiment.run ~obs config in
-  (r, dump obs, dump_spans obs)
-
-let test_batched_equivalence kind () =
-  let r1, m1, s1 = batched_result ~kind ~batched:true in
-  let r0, m0, s0 = batched_result ~kind ~batched:false in
-  Alcotest.(check int) "events_executed identical" r0.Experiment.events_executed
-    r1.Experiment.events_executed;
-  Alcotest.(check (float 0.0)) "latency identical"
-    r0.Experiment.early_latency_ms.Stats.mean
-    r1.Experiment.early_latency_ms.Stats.mean;
-  Alcotest.(check (float 0.0)) "throughput identical" r0.Experiment.throughput
-    r1.Experiment.throughput;
-  Alcotest.(check string) "metrics bytes identical" m0 m1;
-  Alcotest.(check string) "span bytes identical" s0 s1
-
-let test_batched_equivalence_sharded () =
-  let run batched =
-    let params = { (Params.default ~n:3) with Params.batched_hops = batched } in
-    let profile =
-      Population.profile ~clients:3_000 ~rate_per_client:0.3 ~cross_fraction:0.1
-        ()
-    in
-    let config =
-      Shard.config ~kind:Replica.Modular ~shards:2 ~n:3 ~profile ~warmup_s:0.2
-        ~measure_s:0.4 ~seed:1 ~params ()
-    in
-    let obs = Obs.create ~max_events:0 () in
-    let r = Shard.run ~obs config in
-    (r, dump obs)
-  in
-  let r1, m1 = run true in
-  let r0, m0 = run false in
-  Alcotest.(check int) "events identical" r0.Shard.events_executed
-    r1.Shard.events_executed;
-  Alcotest.(check (float 0.0)) "latency identical" r0.Shard.latency_ms.Stats.mean
-    r1.Shard.latency_ms.Stats.mean;
-  Alcotest.(check (float 0.0)) "cross latency identical"
-    r0.Shard.cross_latency_ms.Stats.mean r1.Shard.cross_latency_ms.Stats.mean;
-  Alcotest.(check string) "metrics bytes identical" m0 m1
-
 (* ---- Jobs-equivalence of sharded runs (the PR-5 contract) ---- *)
 
 let test_shard_jobs_equivalence () =
@@ -290,8 +220,6 @@ let test_closed_loop () =
 let () =
   Alcotest.run "shard"
     [
-      ( "queue",
-        [ Alcotest.test_case "reserved-tickets" `Quick test_reserved_tickets ] );
       ( "router",
         [
           Alcotest.test_case "basics" `Quick test_router_basics;
@@ -311,16 +239,6 @@ let () =
             (test_one_shard_equivalence Replica.Indirect);
           Alcotest.test_case "monolithic" `Quick
             (test_one_shard_equivalence Replica.Monolithic);
-        ] );
-      ( "batched-hops",
-        [
-          Alcotest.test_case "modular" `Quick
-            (test_batched_equivalence Replica.Modular);
-          Alcotest.test_case "indirect" `Quick
-            (test_batched_equivalence Replica.Indirect);
-          Alcotest.test_case "monolithic" `Quick
-            (test_batched_equivalence Replica.Monolithic);
-          Alcotest.test_case "sharded" `Quick test_batched_equivalence_sharded;
         ] );
       ( "jobs-equivalence",
         [
