@@ -21,7 +21,7 @@ let measure_s = if quick then 1.5 else 4.0
 
 (* --metrics-out FILE / --trace-out FILE: observe the whole harness through
    one sink (counters and histograms accumulate across every point) and
-   dump it as JSONL at the end. Without --trace-out no events are retained,
+   dump it as JSONL at the end. Without --trace-out no spans are retained,
    so metrics-only observation stays cheap over the full run. *)
 let flag_value name =
   let rec scan i =

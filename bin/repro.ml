@@ -78,8 +78,9 @@ let trace_out_arg =
     & opt (some string) None
     & info [ "trace-out" ] ~docv:"FILE"
         ~doc:
-          "Write the run's phase-tagged protocol trace as JSONL to $(docv), one event \
-           per line, stamped with the simulated clock.")
+          "Write the run's protocol trace as JSONL to $(docv): one causal span per \
+           line (protocol step, layer, phase and parent span), stamped with the \
+           simulated clock.")
 
 let trace_max_arg =
   Arg.(
@@ -87,14 +88,14 @@ let trace_max_arg =
     & opt (some int) None
     & info [ "trace-max-events" ] ~docv:"N"
         ~doc:
-          "Retain at most $(docv) trace events (and $(docv) spans) in memory; \
-           later records are counted but dropped, and the JSONL export ends \
+          "Retain at most $(docv) spans in memory; \
+           later spans are counted but dropped, and the JSONL export ends \
            with a $(i,trace_truncated) marker carrying the drop count. \
            Bounds the footprint of tracing long runs.")
 
 (* Build a sink iff an output file was requested, observe [f] through it,
    then flush the requested files. With no trace file the sink retains no
-   events, so long metric-only runs stay cheap. *)
+   spans, so long metric-only runs stay cheap. *)
 let with_obs ?trace_max_events ~metrics_out ~trace_out ~tags f =
   match (metrics_out, trace_out) with
   | None, None -> f Repro_obs.Obs.noop
@@ -610,8 +611,8 @@ let nemesis_cmd =
           (* Record with a live sink even though no trace file was asked
              for: the frame log's world carries the span trace, which is
              what gives `repro bisect` its critical-path window. The
-             default event cap keeps the world blob — remarshaled whole
-             into every frame — small; early events win ties, which is
+             default span cap keeps the world blob — remarshaled whole
+             into every frame — small; early spans win ties, which is
              the right bias for bisecting the *first* violation. *)
           let max_events = Option.value ~default:20_000 trace_max_events in
           let obs = Repro_obs.Obs.create ~max_events () in
@@ -814,7 +815,7 @@ let trace_export_cmd =
   Cmd.v
     (Cmd.info "trace-export"
        ~doc:
-         "Convert an Obs trace/span JSONL file into Chrome Trace Event Format: one \
+         "Convert an Obs span JSONL file into Chrome Trace Event Format: one \
           process per simulated node, one thread per protocol layer, causal spans \
           as complete events.")
     Term.(ret (const run $ trace_arg $ chrome_out_arg))

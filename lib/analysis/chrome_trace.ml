@@ -1,126 +1,57 @@
 (* Chrome/Perfetto trace-event export.
 
-   Converts an Obs trace JSONL file (the [--trace-out] stream: [trace]
-   and [span] lines) into the Trace Event Format that [about:tracing]
-   and [ui.perfetto.dev] load: one process per simulated node, one
-   thread per protocol layer, causal spans as complete ("X") events.
+   Converts an Obs span JSONL file (the [--trace-out] stream) into the
+   Trace Event Format that [about:tracing] and [ui.perfetto.dev] load:
+   one process per simulated node, one thread per protocol layer, causal
+   spans as complete ("X") events.
 
    A span records the *instant* its step happened plus a link to the
    causing span; the duration shown is the gap from cause to effect —
    parent.at → span.at — which is exactly the hop the critical-path
-   analysis attributes. Spans without a recorded parent (roots) and flat
-   trace events become instant ("i") events. Timestamps are microseconds
-   as the format requires; virtual nanoseconds divide exactly. *)
+   analysis attributes. Spans without a recorded parent (roots) become
+   instant ("i") events. Lines of any other type are skipped.
+   Timestamps are microseconds as the format requires; virtual
+   nanoseconds divide exactly. *)
 
 module Jsonl = Repro_obs.Jsonl
 module Span = Repro_obs.Span
+module Time = Repro_sim.Time
 
-type event = {
-  e_name : string;
-  e_cat : string;
-  e_ph : char; (* 'X' complete | 'i' instant *)
-  e_ts_us : float;
-  e_dur_us : float; (* meaningful for 'X' only *)
-  e_pid : int; (* 1-based process *)
-  e_tid : int; (* layer index *)
-  e_args : (string * Jsonl.json) list;
-}
-
-let layer_tid name =
+let layer_tid layer =
   let rec go i = function
-    | [] -> List.length Span.all_layers (* unknown layer: one shared tail tid *)
-    | l :: rest -> if String.equal (Span.layer_name l) name then i else go (i + 1) rest
+    | [] -> i
+    | l :: rest -> if l = layer then i else go (i + 1) rest
   in
   go 0 Span.all_layers
 
-let us_of_ns ns = float_of_int ns /. 1e3
-
-let event_of_line j =
-  let str k = Jsonl.to_string_opt (Jsonl.member k j) in
-  let int k = Jsonl.to_int_opt (Jsonl.member k j) in
-  match (str "type", int "at_ns", int "pid", str "layer", str "phase") with
-  | Some "trace", Some at_ns, Some pid, Some layer, Some phase ->
-    Some
-      {
-        e_name = phase;
-        e_cat = layer;
-        e_ph = 'i';
-        e_ts_us = us_of_ns at_ns;
-        e_dur_us = 0.0;
-        e_pid = pid + 1;
-        e_tid = layer_tid layer;
-        e_args =
-          (match str "detail" with
-          | Some d when d <> "" -> [ ("detail", Jsonl.String d) ]
-          | _ -> []);
-      }
-  | Some "span", Some at_ns, Some pid, Some layer, Some phase ->
-    let sid = Option.value ~default:0 (int "sid") in
-    let parent = Option.value ~default:0 (int "parent") in
-    let args =
-      [ ("sid", Jsonl.Int sid); ("parent", Jsonl.Int parent) ]
-      @
-      match str "detail" with
-      | Some d when d <> "" -> [ ("detail", Jsonl.String d) ]
-      | _ -> []
-    in
-    Some
-      {
-        e_name = phase;
-        e_cat = layer;
-        e_ph = 'i';
-        e_ts_us = us_of_ns at_ns;
-        e_dur_us = 0.0;
-        e_pid = pid + 1;
-        e_tid = layer_tid layer;
-        e_args = args;
-      }
-  | _ -> None
+let us_of_ns ns = Jsonl.Float (float_of_int ns /. 1e3)
 
 (* Spans whose parent is in the trace become 'X' complete events spanning
-   cause → effect; the instant fallback stays for roots. *)
-let link_spans lines events =
-  let at_of = Hashtbl.create 1024 in
-  List.iter
-    (fun j ->
-      match
-        ( Jsonl.to_string_opt (Jsonl.member "type" j),
-          Jsonl.to_int_opt (Jsonl.member "sid" j),
-          Jsonl.to_int_opt (Jsonl.member "at_ns" j) )
-      with
-      | Some "span", Some sid, Some at -> Hashtbl.replace at_of sid at
-      | _ -> ())
-    lines;
-  List.map2
-    (fun j e ->
-      match
-        ( Jsonl.to_string_opt (Jsonl.member "type" j),
-          Jsonl.to_int_opt (Jsonl.member "parent" j),
-          Jsonl.to_int_opt (Jsonl.member "at_ns" j) )
-      with
-      | Some "span", Some parent, Some at when parent <> 0 -> (
-        match Hashtbl.find_opt at_of parent with
-        | Some parent_at when parent_at <= at ->
-          { e with e_ph = 'X'; e_ts_us = us_of_ns parent_at; e_dur_us = us_of_ns (at - parent_at) }
-        | _ -> e)
-      | _ -> e)
-    lines events
-
-let json_of_event e =
-  let base =
-    [
-      ("name", Jsonl.String e.e_name);
-      ("cat", Jsonl.String e.e_cat);
-      ("ph", Jsonl.String (String.make 1 e.e_ph));
-      ("ts", Jsonl.Float e.e_ts_us);
-      ("pid", Jsonl.Int e.e_pid);
-      ("tid", Jsonl.Int e.e_tid);
-    ]
+   cause → effect; roots (and spans whose parent is missing) stay
+   instants. [at_of] maps sids to their instants. *)
+let json_of_span at_of (s : Span.t) =
+  let at = Time.to_ns s.Span.at in
+  let parent_at = if Span.is_root s then None else Hashtbl.find_opt at_of s.Span.parent in
+  let ph, ts, extent =
+    match parent_at with
+    | Some p when p <= at -> ("X", p, [ ("dur", us_of_ns (at - p)) ])
+    | _ -> ("i", at, [ ("s", Jsonl.String "t") ])
   in
-  let dur = if e.e_ph = 'X' then [ ("dur", Jsonl.Float e.e_dur_us) ] else [] in
-  let scope = if e.e_ph = 'i' then [ ("s", Jsonl.String "t") ] else [] in
-  let args = if e.e_args = [] then [] else [ ("args", Jsonl.Obj e.e_args) ] in
-  Jsonl.Obj (base @ dur @ scope @ args)
+  let args =
+    [ ("sid", Jsonl.Int s.Span.sid); ("parent", Jsonl.Int s.Span.parent) ]
+    @ if s.Span.detail = "" then [] else [ ("detail", Jsonl.String s.Span.detail) ]
+  in
+  Jsonl.Obj
+    ([
+       ("name", Jsonl.String s.Span.phase);
+       ("cat", Jsonl.String (Span.layer_name s.Span.layer));
+       ("ph", Jsonl.String ph);
+       ("ts", us_of_ns ts);
+       ("pid", Jsonl.Int (s.Span.pid + 1));
+       ("tid", Jsonl.Int (layer_tid s.Span.layer));
+     ]
+    @ extent
+    @ [ ("args", Jsonl.Obj args) ])
 
 (* Name the pid/tid rows: process p<i>, one thread per layer. *)
 let metadata_events pids =
@@ -148,16 +79,14 @@ let metadata_events pids =
     pids
 
 let export lines =
-  let events = List.filter_map (fun j -> Option.map (fun e -> (j, e)) (event_of_line j)) lines in
-  let lines_kept = List.map fst events and events = List.map snd events in
-  let events = link_spans lines_kept events in
-  let pids =
-    List.sort_uniq Int.compare (List.map (fun e -> e.e_pid) events)
-  in
+  let spans = Jsonl.spans_of_lines lines in
+  let at_of = Hashtbl.create 1024 in
+  List.iter (fun (s : Span.t) -> Hashtbl.replace at_of s.Span.sid (Time.to_ns s.Span.at)) spans;
+  let pids = List.sort_uniq Int.compare (List.map (fun (s : Span.t) -> s.Span.pid + 1) spans) in
   Jsonl.Obj
     [
       ( "traceEvents",
-        Jsonl.List (metadata_events pids @ List.map json_of_event events) );
+        Jsonl.List (metadata_events pids @ List.map (json_of_span at_of) spans) );
       ("displayTimeUnit", Jsonl.String "ms");
     ]
 

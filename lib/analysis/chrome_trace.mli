@@ -1,12 +1,12 @@
-(** Chrome/Perfetto trace-event export of an Obs trace JSONL stream.
+(** Chrome/Perfetto trace-event export of an Obs span JSONL stream.
 
     [repro trace-export --chrome-out] converts the [--trace-out] file
-    (lines of type [trace] and [span]) into the Trace Event Format that
+    (lines of type [span]) into the Trace Event Format that
     [about:tracing] and Perfetto load: pid = simulated process (1-based),
     tid = protocol layer, causal spans as complete (["X"]) events whose
     extent runs from the causing span's instant to their own — the hop
-    the critical-path analysis attributes — and roots/flat trace events
-    as instants (["i"]).
+    the critical-path analysis attributes — and roots as instants
+    (["i"]).
 
     {2 Determinism obligations}
 

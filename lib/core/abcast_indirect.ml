@@ -156,14 +156,10 @@ let rec drain t =
           m "%a adeliver instance %d (%d msgs, indirect)" Pid.pp t.me t.next_decide
             (Batch.size batch));
       let sp =
-        if Obs.tracing t.obs then begin
-          Obs.event t.obs ~pid:t.me ~layer:`Abcast ~phase:"adeliver"
-            ~detail:(Printf.sprintf "i%d (%d msgs)" t.next_decide (Batch.size batch))
-            ();
+        if Obs.tracing t.obs then
           Obs.span t.obs ~pid:t.me ~layer:`Abcast ~phase:"adeliver"
             ~detail:(Printf.sprintf "i%d (%d msgs)" t.next_decide (Batch.size batch))
             ()
-        end
         else Obs.Span.no_parent
       in
       Obs.with_span_ctx t.obs sp (fun () -> adeliver_batch t batch);
@@ -185,18 +181,12 @@ let abcast t m =
   if not (delivered_mem t m.App_msg.id) then begin
     Obs.incr t.obs "abcast.abcasts";
     let sp =
-      if Obs.tracing t.obs then begin
-        Obs.event t.obs ~pid:t.me ~layer:`Abcast ~phase:"abcast"
-          ~detail:
-            (Printf.sprintf "m %d/%d" (m.App_msg.id.App_msg.origin + 1)
-               m.App_msg.id.App_msg.seq)
-          ();
+      if Obs.tracing t.obs then
         Obs.span t.obs ~pid:t.me ~layer:`Abcast ~phase:"abcast"
           ~detail:
             (Printf.sprintf "m %d/%d" (m.App_msg.id.App_msg.origin + 1)
                m.App_msg.id.App_msg.seq)
           ()
-      end
       else Obs.Span.no_parent
     in
     (* Diffuse strictly before [note_payload], whose embedded

@@ -143,14 +143,10 @@ let rec drain t =
   | Some batch ->
     Hashtbl.remove t.decisions_buf t.next_deliver;
     let sp =
-      if Obs.tracing t.obs then begin
-        Obs.event t.obs ~pid:t.me ~layer:`Abcast ~phase:"adeliver"
-          ~detail:(Printf.sprintf "i%d (%d msgs)" t.next_deliver (Batch.size batch))
-          ();
+      if Obs.tracing t.obs then
         Obs.span t.obs ~pid:t.me ~layer:`Abcast ~phase:"adeliver"
           ~detail:(Printf.sprintf "i%d (%d msgs)" t.next_deliver (Batch.size batch))
           ()
-      end
       else Obs.Span.no_parent
     in
     Obs.with_span_ctx t.obs sp (fun () -> adeliver_batch t batch);
@@ -247,14 +243,10 @@ and mono_decide t s value ~here_round =
     L.debug (fun m -> m "%a decide i%d %a" Pid.pp t.me s.inst Batch.pp value);
     Obs.incr t.obs "abcast.decisions";
     let sp =
-      if Obs.tracing t.obs then begin
-        Obs.event t.obs ~pid:t.me ~layer:`Abcast ~phase:"decide"
-          ~detail:(Printf.sprintf "i%d r%d (%d msgs)" s.inst s.round (Batch.size value))
-          ();
+      if Obs.tracing t.obs then
         Obs.span t.obs ~pid:t.me ~layer:`Abcast ~phase:"decide"
           ~detail:(Printf.sprintf "i%d r%d (%d msgs)" s.inst s.round (Batch.size value))
           ()
-      end
       else Obs.Span.no_parent
     in
     Hashtbl.replace t.decisions_buf s.inst value;
@@ -481,18 +473,12 @@ let abcast t m =
   if not (delivered_mem t m) then begin
     Obs.incr t.obs "abcast.abcasts";
     let sp =
-      if Obs.tracing t.obs then begin
-        Obs.event t.obs ~pid:t.me ~layer:`Abcast ~phase:"abcast"
-          ~detail:
-            (Printf.sprintf "m %d/%d" (m.App_msg.id.App_msg.origin + 1)
-               m.App_msg.id.App_msg.seq)
-          ();
+      if Obs.tracing t.obs then
         Obs.span t.obs ~pid:t.me ~layer:`Abcast ~phase:"abcast"
           ~detail:
             (Printf.sprintf "m %d/%d" (m.App_msg.id.App_msg.origin + 1)
                m.App_msg.id.App_msg.seq)
           ()
-      end
       else Obs.Span.no_parent
     in
     Obs.with_span_ctx t.obs sp (fun () ->

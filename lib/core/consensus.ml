@@ -141,14 +141,10 @@ let decide t s value =
     if Obs.enabled t.obs then
       Obs.observe_since t.obs "consensus.decide_ms" s.created_at;
     let sp =
-      if Obs.tracing t.obs then begin
-        Obs.event t.obs ~pid:t.me ~layer:`Consensus ~phase:"decide"
-          ~detail:(Printf.sprintf "i%d r%d (%d msgs)" s.inst s.round (Batch.size value))
-          ();
+      if Obs.tracing t.obs then
         Obs.span t.obs ~pid:t.me ~layer:`Consensus ~phase:"decide"
           ~detail:(Printf.sprintf "i%d r%d (%d msgs)" s.inst s.round (Batch.size value))
           ()
-      end
       else Obs.Span.no_parent
     in
     Obs.with_span_ctx t.obs sp (fun () -> t.on_decide ~inst:s.inst value);
@@ -231,14 +227,10 @@ and maybe_propose t s ~round =
           m "%a propose i%d r%d (%d msgs)" Pid.pp t.me s.inst round (Batch.size value));
       Obs.incr t.obs "consensus.proposals";
       let sp =
-        if Obs.tracing t.obs then begin
-          Obs.event t.obs ~pid:t.me ~layer:`Consensus ~phase:"propose"
-            ~detail:(Printf.sprintf "i%d r%d (%d msgs)" s.inst round (Batch.size value))
-            ();
+        if Obs.tracing t.obs then
           Obs.span t.obs ~pid:t.me ~layer:`Consensus ~phase:"propose"
             ~detail:(Printf.sprintf "i%d r%d (%d msgs)" s.inst round (Batch.size value))
             ()
-        end
         else Obs.Span.no_parent
       in
       Obs.with_span_ctx t.obs sp (fun () ->

@@ -119,14 +119,10 @@ let decide t s value =
     if Obs.enabled t.obs then
       Obs.observe_since t.obs "consensus.decide_ms" s.created_at;
     let sp =
-      if Obs.tracing t.obs then begin
-        Obs.event t.obs ~pid:t.me ~layer:`Consensus ~phase:"decide"
-          ~detail:(Printf.sprintf "i%d r%d (%d msgs)" s.inst s.round (Batch.size value))
-          ();
+      if Obs.tracing t.obs then
         Obs.span t.obs ~pid:t.me ~layer:`Consensus ~phase:"decide"
           ~detail:(Printf.sprintf "i%d r%d (%d msgs)" s.inst s.round (Batch.size value))
           ()
-      end
       else Obs.Span.no_parent
     in
     Obs.with_span_ctx t.obs sp (fun () -> t.on_decide ~inst:s.inst value);
@@ -179,14 +175,10 @@ let rec try_propose t s ~round =
         Hashtbl.replace s.acks round (ref [ t.me ]);
         Obs.incr t.obs "consensus.proposals";
         let sp =
-          if Obs.tracing t.obs then begin
-            Obs.event t.obs ~pid:t.me ~layer:`Consensus ~phase:"propose"
-              ~detail:(Printf.sprintf "i%d r%d (%d msgs)" s.inst round (Batch.size value))
-              ();
+          if Obs.tracing t.obs then
             Obs.span t.obs ~pid:t.me ~layer:`Consensus ~phase:"propose"
               ~detail:(Printf.sprintf "i%d r%d (%d msgs)" s.inst round (Batch.size value))
               ()
-          end
           else Obs.Span.no_parent
         in
         Obs.with_span_ctx t.obs sp (fun () ->

@@ -20,10 +20,10 @@ val create :
   ?obs:Repro_obs.Obs.t ->
   unit ->
   t
-(** [obs] (default: the no-op sink) receives every metric and trace event
-    of the run: the network's per-layer traffic counters and tx/rx events,
-    and each mounted protocol module's counters, latency histograms and
-    phase events. The group binds the sink's clock to its engine, so all
+(** [obs] (default: the no-op sink) receives every metric and span of
+    the run: the network's per-layer traffic counters and tx/rx spans, and
+    each mounted protocol module's counters, latency histograms and phase
+    spans. The group binds the sink's clock to its engine, so all
     timestamps are virtual (Engine) time — never wall time. *)
 
 val engine : t -> Engine.t

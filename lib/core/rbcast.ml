@@ -33,14 +33,10 @@ let rbcast t payload =
   Obs.incr t.obs "rbcast.broadcasts";
   Obs.incr t.obs "rbcast.delivers";
   let sp =
-    if Obs.tracing t.obs then begin
-      Obs.event t.obs ~pid:t.me ~layer:`Rbcast ~phase:"rbcast"
-        ~detail:(Printf.sprintf "rb %d/%d" (meta.rb_origin + 1) meta.rb_seq)
-        ();
+    if Obs.tracing t.obs then
       Obs.span t.obs ~pid:t.me ~layer:`Rbcast ~phase:"rbcast"
         ~detail:(Printf.sprintf "rb %d/%d" (meta.rb_origin + 1) meta.rb_seq)
         ()
-    end
     else Obs.Span.no_parent
   in
   Obs.with_span_ctx t.obs sp (fun () ->
@@ -62,14 +58,10 @@ let receive t ~src:_ ~meta payload =
     Id_table.add t.seen ~origin ~seq;
     Obs.incr t.obs "rbcast.delivers";
     let sp =
-      if Obs.tracing t.obs then begin
-        Obs.event t.obs ~pid:t.me ~layer:`Rbcast ~phase:"rdeliver"
-          ~detail:(Printf.sprintf "rb %d/%d" (meta.Msg.rb_origin + 1) meta.Msg.rb_seq)
-          ();
+      if Obs.tracing t.obs then
         Obs.span t.obs ~pid:t.me ~layer:`Rbcast ~phase:"rdeliver"
           ~detail:(Printf.sprintf "rb %d/%d" (meta.Msg.rb_origin + 1) meta.Msg.rb_seq)
           ()
-      end
       else Obs.Span.no_parent
     in
     Obs.with_span_ctx t.obs sp (fun () ->

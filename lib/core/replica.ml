@@ -93,18 +93,12 @@ let handle_adeliver t m =
      analysis looks for: one per delivered message, parented to the
      instance adeliver that released it. *)
   let sp =
-    if Obs.tracing t.obs then begin
-      Obs.event t.obs ~pid:t.me ~layer:`App ~phase:"adeliver"
-        ~detail:
-          (Printf.sprintf "m %d/%d (%d B)" (m.App_msg.id.App_msg.origin + 1)
-             m.App_msg.id.App_msg.seq m.App_msg.size)
-        ();
+    if Obs.tracing t.obs then
       Obs.span t.obs ~pid:t.me ~layer:`App ~phase:"adeliver"
         ~detail:
           (Printf.sprintf "m %d/%d" (m.App_msg.id.App_msg.origin + 1)
              m.App_msg.id.App_msg.seq)
         ()
-    end
     else Obs.Span.no_parent
   in
   Obs.with_span_ctx t.obs sp (fun () ->
@@ -466,9 +460,12 @@ let create ~kind ~params ~net ~me ?(fd_mode = `Good_run) ?(record_deliveries = t
     | Wire_msg.Tampered inner ->
       if params.Params.checksums then begin
         if Obs.enabled t.obs then Obs.incr t.obs "net.corrupt_detected";
+        (* Parented to the ambient [rx] span of the tampered copy; the
+           copy goes no further, so the span ends its chain. *)
         if Obs.tracing t.obs then
-          Obs.event t.obs ~pid:t.me ~layer:(Wire_msg.layer inner) ~phase:"drop"
-            ~detail:("checksum: " ^ Wire_msg.kind inner) ();
+          ignore
+            (Obs.span t.obs ~pid:t.me ~layer:(Wire_msg.layer inner) ~phase:"drop"
+               ~detail:("checksum: " ^ Wire_msg.kind inner) ());
         on_tamper ~detected:true
       end
       else begin

@@ -53,8 +53,9 @@ val create :
 
     [obs] (default: no-op) is handed to every mounted protocol module (see
     their [create] docs for the metric names) and additionally records an
-    [`App]-layer [adeliver] trace event per delivered message at this
-    process. *)
+    [`App]-layer [adeliver] span per delivered message at this process,
+    and a [drop] span (detail [checksum: <kind>]) per tampered copy the
+    checksum discards. *)
 
 val me : t -> Pid.t
 val kind : t -> kind

@@ -20,9 +20,12 @@ let apply ~obs group (step : Schedule.step) =
   | Schedule.Duplicate_rate p -> Repro_net.Network.set_duplicate_rate net p
   | Schedule.Reorder_window w -> Repro_net.Network.set_reorder_window net w
   | Schedule.Equivocate_rate p -> Repro_net.Network.set_equivocate_rate net p);
+  (* A root span: a fault step is caused by the plan, not by any message,
+     and nothing runs under it, so it never lies on a delivery's chain. *)
   if Obs.tracing obs then
-    Obs.event obs ~pid:0 ~layer:`Net ~phase:"fault"
-      ~detail:(Schedule.action_to_string step.Schedule.action) ()
+    ignore
+      (Obs.span obs ~parent:Obs.Span.no_parent ~pid:0 ~layer:`Net ~phase:"fault"
+         ~detail:(Schedule.action_to_string step.Schedule.action) ())
 
 let install ?(obs = Obs.noop) group schedule =
   (* Validate against the live group before registering anything, so a bad

@@ -25,7 +25,7 @@ val install : ?obs:Repro_obs.Obs.t -> Group.t -> Schedule.t -> (t, string) resul
     Plans containing adversary actions ({!Schedule.uses_adversary}) arm
     the message adversary ({!Adversary.arm}) as part of installation.
     [obs] (default: the group would normally share its sink) records one
-    [`Net]-layer [fault] trace event per applied action. *)
+    root [`Net]-layer [fault] span per applied action. *)
 
 val install_exn : ?obs:Repro_obs.Obs.t -> Group.t -> Schedule.t -> t
 (** {!install}, raising [Invalid_argument] on a bad plan — for callers

@@ -240,13 +240,7 @@ let deliver t ~src ~dst ~sid msg =
         if not node.crashed then
           match node.handler with
           | Some handler ->
-            if Obs.tracing t.obs then begin
-              Obs.event t.obs ~pid:dst ~layer:(t.layer_of msg) ~phase:"rx"
-                ~detail:
-                  (Printf.sprintf "%s <- p%d" (t.kind_of msg) (src + 1))
-                ();
-              Obs.set_span_ctx t.obs rx
-            end;
+            Obs.set_span_ctx t.obs rx;
             handler ~src msg;
             Obs.set_span_ctx t.obs Obs.Span.no_parent
           | None -> ())
@@ -312,11 +306,10 @@ let record_tx t ~parent ~src ~dst msg ~payload_bytes =
     ~by:(Wire.on_wire_bytes t.wire ~payload_bytes)
     t.ctr_wire.(li);
   Obs.incr t.obs (kind_counter t (t.kind_of msg));
-  if Obs.tracing t.obs then begin
-    let detail = Printf.sprintf "%s -> p%d" (t.kind_of msg) (dst + 1) in
-    Obs.event t.obs ~pid:src ~layer ~phase:"tx" ~detail ();
-    Obs.span t.obs ~parent ~pid:src ~layer ~phase:"tx" ~detail ()
-  end
+  if Obs.tracing t.obs then
+    Obs.span t.obs ~parent ~pid:src ~layer ~phase:"tx"
+      ~detail:(Printf.sprintf "%s -> p%d" (t.kind_of msg) (dst + 1))
+      ()
   else Obs.Span.no_parent
 
 (* A sender that is past its crash budget silently loses the message; this
@@ -453,13 +446,10 @@ let transmit_copy t ?(adv_drop = false) ~src ~dst ~payload_bytes ~parent msg =
   end
   else if Obs.enabled t.obs then begin
     Obs.incr t.obs "net.dropped_msgs";
-    if Obs.tracing t.obs then begin
-      Obs.event t.obs ~pid:src ~layer:(t.layer_of msg) ~phase:"drop"
-        ~detail:(t.kind_of msg) ();
+    if Obs.tracing t.obs then
       ignore
         (Obs.span t.obs ~parent:tx_sid ~pid:src ~layer:(t.layer_of msg)
            ~phase:"drop" ~detail:(t.kind_of msg) ())
-    end
   end
 
 let marshal_cost t ~payload_bytes ~copies =

@@ -56,7 +56,7 @@ val create :
     [obs] (default: the no-op sink) receives layer-attributed traffic
     counters ([net.msgs.<layer>], [net.payload_bytes.<layer>],
     [net.wire_bytes.<layer>], [net.kind_msgs.<kind>], [net.dropped_msgs])
-    and per-copy trace events (phases [tx], [rx], [drop]); [layer_of]
+    and per-copy spans (phases [tx], [rx], [drop]); [layer_of]
     (default: constant [`Net]) attributes each message to its protocol
     layer for that accounting. *)
 

@@ -161,15 +161,11 @@ let rec arm_timer t ~dst link =
                     so the copy that finally gets through keeps a chain
                     back to the message's origin. *)
                  let sp =
-                   if Obs.tracing t.obs then begin
-                     Obs.event t.obs ~pid:t.me ~layer:`Net ~phase:"retransmit"
-                       ~detail:(Printf.sprintf "seq %d -> p%d" frame.seq (dst + 1))
-                       ();
+                   if Obs.tracing t.obs then
                      Obs.span t.obs ~parent:frame.ctx ~pid:t.me ~layer:`Net
                        ~phase:"retransmit"
                        ~detail:(Printf.sprintf "seq %d -> p%d" frame.seq (dst + 1))
                        ()
-                   end
                    else Obs.Span.no_parent
                  in
                  Obs.with_span_ctx t.obs sp (fun () ->

@@ -272,42 +272,26 @@ let truncation_line tags ~stream ~dropped =
              ]));
     ]
 
-let trace_lines ?(tags = []) obs =
-  let tags = tag_fields tags in
-  List.map
-    (fun (e : Obs.event) ->
-      to_string
-        (Obj
-           (tags
-           @ [
-               ("type", String "trace");
-               ("at_ns", Int (Time.to_ns e.Obs.at));
-               ("pid", Int e.Obs.pid);
-               ("layer", String (Obs.layer_name e.Obs.layer));
-               ("phase", String e.Obs.phase);
-               ("detail", String e.Obs.detail);
-             ])))
-    (Obs.events obs)
-  @ truncation_line tags ~stream:"events" ~dropped:(Obs.dropped_events obs)
+let render_span tags (s : Span.t) =
+  to_string
+    (Obj
+       (tags
+       @ [
+           ("type", String "span");
+           ("sid", Int s.Span.sid);
+           ("parent", Int s.Span.parent);
+           ("at_ns", Int (Time.to_ns s.Span.at));
+           ("pid", Int s.Span.pid);
+           ("layer", String (Span.layer_name s.Span.layer));
+           ("phase", String s.Span.phase);
+           ("detail", String s.Span.detail);
+         ]))
+
+let span_line ?(tags = []) s = render_span (tag_fields tags) s
 
 let span_lines ?(tags = []) obs =
   let tags = tag_fields tags in
-  List.map
-    (fun (s : Span.t) ->
-      to_string
-        (Obj
-           (tags
-           @ [
-               ("type", String "span");
-               ("sid", Int s.Span.sid);
-               ("parent", Int s.Span.parent);
-               ("at_ns", Int (Time.to_ns s.Span.at));
-               ("pid", Int s.Span.pid);
-               ("layer", String (Span.layer_name s.Span.layer));
-               ("phase", String s.Span.phase);
-               ("detail", String s.Span.detail);
-             ])))
-    (Obs.spans obs)
+  List.map (render_span tags) (Obs.spans obs)
   @ truncation_line tags ~stream:"spans" ~dropped:(Obs.dropped_spans obs)
 
 (* Read spans back out of a parsed JSONL trace (lines of any other type
@@ -340,22 +324,11 @@ let span_of_json j =
 
 let spans_of_lines lines = List.filter_map span_of_json lines
 
-let write oc lines = List.iter (fun l -> output_string oc l; output_char oc '\n') lines
-let write_metrics ?tags oc obs = write oc (metric_lines ?tags obs)
-let write_trace ?tags oc obs = write oc (trace_lines ?tags obs @ span_lines ?tags obs)
-
-let write_metrics_file ?tags path obs =
+let write_file path lines =
   let oc = open_out path in
-  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> write_metrics ?tags oc obs)
+  Fun.protect
+    ~finally:(fun () -> close_out oc)
+    (fun () -> List.iter (fun l -> output_string oc l; output_char oc '\n') lines)
 
-let write_trace_file ?tags path obs =
-  let oc = open_out path in
-  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> write_trace ?tags oc obs)
-
-let append_metrics_file ?tags path obs =
-  let oc = open_out_gen [ Open_append; Open_creat ] 0o644 path in
-  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> write_metrics ?tags oc obs)
-
-let append_trace_file ?tags path obs =
-  let oc = open_out_gen [ Open_append; Open_creat ] 0o644 path in
-  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> write_trace ?tags oc obs)
+let write_metrics_file ?tags path obs = write_file path (metric_lines ?tags obs)
+let write_trace_file ?tags path obs = write_file path (span_lines ?tags obs)

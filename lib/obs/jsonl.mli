@@ -5,7 +5,7 @@
     prefixed with caller-supplied string [tags] (e.g.
     [("stack", "modular")]) so several runs can share one file:
 
-    Metrics ({!write_metrics}) — one line per metric:
+    Metrics ({!write_metrics_file}) — one line per metric:
     {v
 {"type":"counter","name":"net.msgs.consensus","value":124}
 {"type":"gauge","name":"run.instances","value":31.0}
@@ -15,15 +15,16 @@
     Histogram buckets are [[upper_edge, count]] pairs, per-bucket (not
     cumulative) counts, with [null] as the +inf overflow edge.
 
-    Trace ({!write_trace}) — one line per {!Obs.event}, followed by one
-    line per causal {!Span.t}:
+    Trace ({!write_trace_file}) — one line per causal {!Span.t}, the only
+    per-step record:
     {v
-{"type":"trace","at_ns":2514836,"pid":0,"layer":"consensus","phase":"propose","detail":"i3 r1"}
-{"type":"span","sid":17,"parent":12,"at_ns":2514836,"pid":0,"layer":"consensus","phase":"propose","detail":"i3 r1"}
+{"type":"span","sid":17,"parent":12,"at_ns":2514836,"pid":0,"layer":"consensus","phase":"propose","detail":"i3 r1 (1 msgs)"}
     v}
-    If either stream hit the sink's [max_events] cap, a single marker line
-    [{"type":"trace_truncated","stream":"events"|"spans","dropped":K}]
-    closes it, so a truncated export is self-describing.
+    If the stream hit the sink's [max_events] cap, a single marker line
+    [{"type":"trace_truncated","stream":"spans","dropped":K}] closes it,
+    so a truncated export is self-describing. Readers skip line types
+    they do not know, so files from older writers (which also carried
+    flat [{"type":"trace",…}] lines) still load.
 
     The parser accepts general JSON (objects, arrays, scalars), enough for
     the round-trip tests and the [@obs-smoke] checker without an external
@@ -61,31 +62,22 @@ val metric_lines : ?tags:(string * string) list -> Obs.t -> string list
 (** The metrics schema, one rendered line per counter, gauge and
     histogram (counters first, each family sorted by name). *)
 
-val trace_lines : ?tags:(string * string) list -> Obs.t -> string list
-(** The trace schema, one rendered line per event, oldest first, plus the
-    truncation marker when events were dropped. *)
+val span_line : ?tags:(string * string) list -> Span.t -> string
+(** One causal span rendered as a trace line. *)
 
 val span_lines : ?tags:(string * string) list -> Obs.t -> string list
-(** One rendered line per causal span, oldest first, plus the truncation
-    marker when spans were dropped. *)
+(** The trace schema: one rendered line per causal span, oldest first,
+    plus the truncation marker when spans were dropped. *)
 
 val span_of_json : json -> Span.t option
 (** Decode one parsed line back into a span; [None] for lines of any
-    other type (metrics, flat trace events, markers). *)
+    other type (metrics, markers, legacy flat trace lines). *)
 
 val spans_of_lines : json list -> Span.t list
 (** All spans in a parsed JSONL document, in file order. *)
-
-val write_metrics : ?tags:(string * string) list -> out_channel -> Obs.t -> unit
-val write_trace : ?tags:(string * string) list -> out_channel -> Obs.t -> unit
 
 val write_metrics_file : ?tags:(string * string) list -> string -> Obs.t -> unit
 (** Create/truncate [path] and write the metrics lines. *)
 
 val write_trace_file : ?tags:(string * string) list -> string -> Obs.t -> unit
-
-val append_metrics_file : ?tags:(string * string) list -> string -> Obs.t -> unit
-(** Append to [path] (created if missing) — used to collect several tagged
-    runs in one file. *)
-
-val append_trace_file : ?tags:(string * string) list -> string -> Obs.t -> unit
+(** Create/truncate [path] and write the span lines. *)

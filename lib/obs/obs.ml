@@ -6,18 +6,14 @@ type layer = [ `Abcast | `Consensus | `Rbcast | `Net | `App ]
 let layer_name = Span.layer_name
 let all_layers : layer list = Span.all_layers
 
-type event = { at : Time.t; pid : int; layer : layer; phase : string; detail : string }
-
 type t = {
   enabled : bool;
   mutable now : unit -> Time.t;
   counters : (string, int ref) Hashtbl.t;
   gauges : (string, float ref) Hashtbl.t;
   histograms : (string, Histogram.t) Hashtbl.t;
-  trace : event Trace.t;
   spans : Span.t Trace.t;
   max_events : int;
-  mutable dropped_events : int;
   mutable dropped_spans : int;
   mutable next_sid : int;
   mutable ctx : int;
@@ -31,10 +27,8 @@ let make ~enabled ~max_events =
     counters = Hashtbl.create 64;
     gauges = Hashtbl.create 16;
     histograms = Hashtbl.create 16;
-    trace = Trace.create_with_clock (fun () -> !now ());
     spans = Trace.create_with_clock (fun () -> !now ());
     max_events;
-    dropped_events = 0;
     dropped_spans = 0;
     next_sid = 0;
     ctx = Span.no_parent;
@@ -56,7 +50,6 @@ let create_like t = if t.enabled then make ~enabled:true ~max_events:t.max_event
 let set_clock t now =
   if t.enabled then begin
     t.now <- now;
-    Trace.set_clock t.trace now;
     Trace.set_clock t.spans now
   end
 
@@ -68,9 +61,9 @@ let of_engine engine =
 let enabled t = t.enabled
 
 (* Metrics and tracing are separable: a [max_events = 0] sink keeps full
-   counters while retaining no events or spans. Hot paths that build an
-   event's [detail] string ask this before formatting — with tracing off
-   the string would be allocated only to be dropped inside [event]. *)
+   counters while retaining no spans. Hot paths that build a span's
+   [detail] string ask this before formatting — with tracing off the
+   string would be allocated only to be dropped inside [span]. *)
 let tracing t = t.enabled && t.max_events > 0
 let now t = t.now ()
 
@@ -135,20 +128,6 @@ let histograms t =
   Hashtbl.fold (fun name h acc -> (name, h) :: acc) t.histograms []
   |> List.sort (fun (a, _) (b, _) -> compare a b)
 
-(* ---- Trace ---- *)
-
-let event t ~pid ~layer ~phase ?(detail = "") () =
-  if t.enabled then begin
-    if Trace.length t.trace < t.max_events then
-      Trace.record t.trace { at = t.now (); pid; layer; phase; detail }
-    else t.dropped_events <- t.dropped_events + 1
-  end
-
-let events t = Trace.events t.trace
-let event_count t = Trace.length t.trace
-let dropped_events t = t.dropped_events
-let trace t = t.trace
-
 (* ---- Causal spans ----
 
    Ids count up from 1 whether or not the record is retained, so a trace
@@ -192,7 +171,7 @@ let dropped_spans t = t.dropped_spans
    [absorb dst src] appends everything [src] recorded onto [dst] as if it
    had been recorded there directly, in [src]'s order: counters add,
    gauges overwrite (last write wins, as in a sequential schedule),
-   histogram samples replay in order, trace events and spans append until
+   histogram samples replay in order, spans append until
    [dst]'s cap with the excess counted as dropped. Span ids are shifted
    past every id [dst] has allocated — including ids of records the cap
    discarded — which reproduces exactly the ids a single shared sink
@@ -211,9 +190,6 @@ let absorb dst src =
       (fun (name, h) ->
         Histogram.absorb ~into:(histogram dst ~edges:(Histogram.edges h) name) h)
       (histograms src);
-    dst.dropped_events <-
-      dst.dropped_events + src.dropped_events
-      + Trace.absorb ~limit:dst.max_events ~into:dst.trace src.trace;
     let offset = dst.next_sid in
     let shift sid = if sid = Span.no_parent then sid else sid + offset in
     dst.dropped_spans <-
@@ -225,10 +201,6 @@ let absorb dst src =
     dst.next_sid <- dst.next_sid + src.next_sid
   end
 
-let pp_event ppf e =
-  Fmt.pf ppf "p%d %s/%s%s" (e.pid + 1) (layer_name e.layer) e.phase
-    (if e.detail = "" then "" else " " ^ e.detail)
-
 (* ---- Snapshot ---- *)
 
 module Snap = Snapshot
@@ -237,7 +209,6 @@ type obs_data = {
   od_counters : (string * int) list; (* sorted by name *)
   od_gauges : (string * float) list;
   od_histograms : (string * Histogram.t) list;
-  od_dropped_events : int;
   od_dropped_spans : int;
   od_next_sid : int;
   od_ctx : int;
@@ -248,14 +219,13 @@ let snapshot ?(name = "obs.sink") t =
   let counters = sorted (counters t) in
   let gauges = sorted (gauges t) in
   let histograms = sorted (histograms t) in
-  Snap.make ~name ~version:1
+  Snap.make ~name ~version:2
     ~data:
       (Snap.pack
          {
            od_counters = counters;
            od_gauges = gauges;
            od_histograms = histograms;
-           od_dropped_events = t.dropped_events;
            od_dropped_spans = t.dropped_spans;
            od_next_sid = t.next_sid;
            od_ctx = t.ctx;
@@ -265,16 +235,14 @@ let snapshot ?(name = "obs.sink") t =
       ("counters", Snap.Int (List.length counters));
       ("gauges", Snap.Int (List.length gauges));
       ("histograms", Snap.Int (List.length histograms));
-      ("trace_events", Snap.Int (Trace.length t.trace));
       ("spans", Snap.Int (Trace.length t.spans));
-      ("dropped_events", Snap.Int t.dropped_events);
       ("dropped_spans", Snap.Int t.dropped_spans);
       ("next_sid", Snap.Int t.next_sid);
       ("ctx", Snap.Int t.ctx);
     ]
 
 let restore ?(name = "obs.sink") t s =
-  Snap.check s ~name ~version:1;
+  Snap.check s ~name ~version:2;
   let (d : obs_data) = Snap.unpack_data s in
   Hashtbl.reset t.counters;
   List.iter (fun (k, v) -> Hashtbl.add t.counters k (ref v)) d.od_counters;
@@ -282,8 +250,7 @@ let restore ?(name = "obs.sink") t s =
   List.iter (fun (k, v) -> Hashtbl.add t.gauges k (ref v)) d.od_gauges;
   Hashtbl.reset t.histograms;
   List.iter (fun (k, h) -> Hashtbl.add t.histograms k h) d.od_histograms;
-  t.dropped_events <- d.od_dropped_events;
   t.dropped_spans <- d.od_dropped_spans;
   t.next_sid <- d.od_next_sid;
   t.ctx <- d.od_ctx
-(* Trace and span buffers (and the clock closure) ride the world blob. *)
+(* The span buffer (and the clock closure) rides the world blob. *)

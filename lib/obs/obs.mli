@@ -1,7 +1,7 @@
 open Repro_sim
 
-(** Unified observability sink: per-module metrics and phase-tagged
-    protocol tracing.
+(** Unified observability sink: per-module metrics and causal protocol
+    tracing.
 
     One [Obs.t] is shared by every layer of a simulated group. Protocol
     modules receive it as an optional argument defaulting to {!noop}, so
@@ -17,26 +17,25 @@ open Repro_sim
     - {e histograms} — fixed-bucket latency distributions with exact
       p50/p95/p99 (see {!Histogram}).
 
-    Plus a structured {e trace}: one {!event} per protocol step, stamped
-    with the simulated clock, the process, the protocol {!layer} and a
-    free-form phase tag ("propose", "ack", "decide", …).
+    Plus the trace: one {e causal span} ({!Span}) per protocol step,
+    stamped with the simulated clock, the process, the protocol {!layer},
+    a phase tag ("propose", "ack", "decide", …) and a link to the step
+    that caused it, so spans follow one application message across module
+    boundaries. Spans are recorded with {!span} and stitched together by
+    the ambient context ({!span_ctx}/{!set_span_ctx}) that the network
+    layer maintains around each message handler. They are the only
+    per-step record.
 
     All timestamps come from the engine's virtual clock through the [now]
     closure wired by {!set_clock} (done by [Group.create]); recording never
     schedules events, charges CPU cost, or consumes randomness, so an
     instrumented run is event-for-event identical to an uninstrumented
-    one.
-
-    PR 3 adds a fourth stream: {e causal spans} ({!Span}) — timestamped
-    protocol steps with parent links that follow one application message
-    across module boundaries, recorded with {!span} and stitched together
-    by the ambient context ({!span_ctx}/{!set_span_ctx}) that the network
-    layer maintains around each message handler. *)
+    one. *)
 
 module Span = Span
 
 type layer = [ `Abcast | `Consensus | `Rbcast | `Net | `App ]
-(** The protocol layer an event or message belongs to: the three
+(** The protocol layer a span or message belongs to: the three
     microprotocols of the modular stack (the monolithic ABcast+ module
     counts as [`Abcast]), the network/transport below them, and the
     application above. *)
@@ -45,14 +44,6 @@ val layer_name : layer -> string
 (** Lower-case name as used in metric keys and JSONL ("abcast", …). *)
 
 val all_layers : layer list
-
-type event = {
-  at : Time.t;  (** Simulated instant (never wall time). *)
-  pid : int;  (** Process the event happened at. *)
-  layer : layer;
-  phase : string;  (** Protocol phase, e.g. "propose", "ack", "decide". *)
-  detail : string;  (** Free-form context, e.g. "i3 r1". *)
-}
 
 type t
 
@@ -63,8 +54,8 @@ val noop : t
 
 val create : ?max_events:int -> unit -> t
 (** A fresh enabled sink. Its clock reads {!Time.zero} until {!set_clock}
-    is called. At most [max_events] (default 2,000,000) trace events are
-    retained; later events are counted in {!dropped_events} instead. *)
+    is called. At most [max_events] (default 2,000,000) spans are
+    retained; later spans are counted in {!dropped_spans} instead. *)
 
 val of_engine : Engine.t -> t
 (** [create ()] with the clock already wired to the engine. *)
@@ -78,7 +69,7 @@ val create_like : t -> t
 val absorb : t -> t -> unit
 (** [absorb dst src] appends everything [src] recorded onto [dst], in
     [src]'s recording order: counters add, gauges overwrite, histogram
-    samples replay, trace events and spans append (respecting [dst]'s
+    samples replay, spans append (respecting [dst]'s
     [max_events] cap, excess counted as dropped), and span ids — parents
     included — are renumbered past every id [dst] has allocated, so
     absorbing per-task sinks in task order reproduces byte-for-byte the
@@ -86,7 +77,7 @@ val absorb : t -> t -> unit
     is left unchanged; no-op unless both sinks are enabled. *)
 
 val set_clock : t -> (unit -> Time.t) -> unit
-(** Wire the clock used to stamp events and compute spans. [Group.create]
+(** Wire the clock used to stamp spans and compute latencies. [Group.create]
     calls this with the group engine's [now]; no-op on {!noop}. *)
 
 val enabled : t -> bool
@@ -94,11 +85,10 @@ val enabled : t -> bool
     sites. *)
 
 val tracing : t -> bool
-(** Enabled {e and} retaining trace events ([max_events > 0]). Guard
-    expensive per-event work — detail-string formatting, span creation —
-    on this rather than {!enabled}: a metrics-only sink
-    ([create ~max_events:0]) keeps counters exact while skipping the
-    event/span machinery entirely, which is what makes it cheap enough
+(** Enabled {e and} retaining spans ([max_events > 0]). Guard expensive
+    per-step work — detail-string formatting, span creation — on this
+    rather than {!enabled}: a metrics-only sink ([create ~max_events:0])
+    keeps counters exact while skipping the span machinery entirely, which is what makes it cheap enough
     for the sharded million-client cells. *)
 
 val now : t -> Time.t
@@ -135,24 +125,7 @@ val observe_since : t -> ?edges:float array -> string -> Time.t -> unit
 val histogram_summary : t -> string -> Stats.summary option
 val histograms : t -> (string * Histogram.t) list
 
-(** {1 Trace} *)
-
-val event : t -> pid:int -> layer:layer -> phase:string -> ?detail:string -> unit -> unit
-(** Record one structured trace event at the current instant. *)
-
-val events : t -> event list
-(** All events, oldest first. *)
-
-val event_count : t -> int
-
-val dropped_events : t -> int
-(** Events discarded after [max_events] was reached. *)
-
-val trace : t -> event Trace.t
-(** The underlying {!Trace} recorder (the generic [Sim.Trace] generalised
-    by these structured events), for [Trace.find_last]-style assertions. *)
-
-(** {1 Causal spans}
+(** {1 Trace: causal spans}
 
     See {!Span} for the data model. The protocol rule: record a span at
     each step of interest; its parent defaults to the sink's current
@@ -197,13 +170,10 @@ val span_count : t -> int
 val dropped_spans : t -> int
 (** Spans discarded after [max_events] was reached. *)
 
-val pp_event : event Fmt.t
-(** Prints [p<pid+1> <layer>/<phase> <detail>], e.g. [p1 consensus/propose i0 r1]. *)
-
 val snapshot : ?name:string -> t -> Repro_sim.Snapshot.section
 (** Default section name ["obs.sink"]. Carries counters, gauges,
-    histograms, span-id allocator and ambient span context; the trace and
-    span buffers (closures over the clock) ride the world blob. *)
+    histograms, span-id allocator and ambient span context; the span
+    buffer (a closure over the clock) rides the world blob. *)
 
 val restore : ?name:string -> t -> Repro_sim.Snapshot.section -> unit
 (** @raise Repro_sim.Snapshot.Codec_error on mismatch. *)

@@ -1,7 +1,6 @@
 open Repro_sim
 
-(** Causal spans: the per-message counterpart of the flat {!Obs.event}
-    trace.
+(** Causal spans: the one per-step record of the observability trace.
 
     A span is an instantaneous, timestamped protocol step with a link to
     the step that caused it — the [parent]. Because the simulation is

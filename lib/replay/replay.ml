@@ -116,7 +116,7 @@ module World = struct
     let cat lines = String.concat "" (List.map (fun l -> l ^ "\n") lines) in
     [
       ("metrics", cat (Jsonl.metric_lines w.obs));
-      ("trace", cat (Jsonl.trace_lines w.obs @ Jsonl.span_lines w.obs));
+      ("trace", cat (Jsonl.span_lines w.obs));
       ("report", w.report ^ "\n");
     ]
 end
@@ -417,7 +417,7 @@ type bisect_report = {
   b_from_ms : float;
   b_to_ms : float;
   b_diff : Snapshot.section_diff list;
-  b_window_spans : string list; (* span/trace JSONL lines inside the window *)
+  b_window_spans : string list; (* span JSONL lines inside the window *)
 }
 
 let ms_of_ns ns = float_of_int ns /. 1e6
@@ -488,15 +488,10 @@ let bisect log =
     let from_t = Time.of_ns good.f_at_ns in
     let to_t = Time.of_ns to_ns in
     let window_spans =
-      let keep at = Time.(at > from_t) && Time.(at <= to_t) in
-      (Jsonl.trace_lines world.World.obs @ Jsonl.span_lines world.World.obs)
-      |> List.filter (fun line ->
-             match Jsonl.parse line with
-             | Error _ -> false
-             | Ok j -> (
-               match Jsonl.to_int_opt (Jsonl.member "at_ns" j) with
-               | Some at -> keep (Time.of_ns at)
-               | None -> false))
+      Obs.spans world.World.obs
+      |> List.filter (fun (s : Obs.Span.t) ->
+             Time.(s.Obs.Span.at > from_t) && Time.(s.Obs.Span.at <= to_t))
+      |> List.map (fun s -> Jsonl.span_line s)
     in
     Some
       {

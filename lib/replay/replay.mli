@@ -120,7 +120,7 @@ type bisect_report = {
   b_diff : Repro_sim.Snapshot.section_diff list;
       (** Per-module field diffs, last-good frame vs first-bad frame. *)
   b_window_spans : string list;
-      (** Trace/span JSONL lines timestamped inside the window. *)
+      (** Span JSONL lines timestamped inside the window (from, to]. *)
 }
 
 val bisect : log -> bisect_report option
@@ -134,4 +134,4 @@ val bisect : log -> bisect_report option
 val bisect_report_lines : bisect_report -> string list
 (** The report as JSONL: one [{"type":"bisect",…}] summary line, one
     [{"section":…,"changes":…}] line per changed section, then the
-    window's span/trace lines. *)
+    window's span lines. *)

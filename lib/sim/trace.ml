@@ -33,9 +33,3 @@ let absorb ?(limit = max_int) ?map ~into src =
       end
       else dropped + 1)
     0 (entries src)
-let find_last t ~f = List.find_opt (fun e -> f e.event) t.rev_entries
-
-let pp pp_event ppf t =
-  List.iter
-    (fun { at; event } -> Fmt.pf ppf "%a %a@." Time.pp at pp_event event)
-    (entries t)

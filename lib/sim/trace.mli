@@ -1,10 +1,9 @@
 (** Timestamped event recorder.
 
     A lightweight append-only log of labelled events, used by tests to
-    assert on protocol histories, by examples to narrate runs, and by the
-    observability layer ([Repro_obs.Obs]) as the store behind its
-    structured trace events. Recording is O(1); the log lives entirely in
-    memory.
+    assert on protocol histories and by the observability layer
+    ([Repro_obs.Obs]) as the store behind its causal spans. Recording is
+    O(1); the log lives entirely in memory.
 
     The clock is a plain closure so the recorder does not depend on who
     owns the engine: {!create} wires it to an engine's virtual clock, and
@@ -53,11 +52,3 @@ val absorb : ?limit:int -> ?map:('a -> 'a) -> into:'a t -> 'a t -> int
     [map] (default identity), but never growing [into] past [limit]
     entries (default unbounded). Returns the number of entries dropped by
     the limit. [src] is not modified. *)
-
-val find_last : 'a t -> f:('a -> bool) -> 'a entry option
-(** The most recent entry satisfying [f], if any. *)
-
-val pp : 'a Fmt.t -> 'a t Fmt.t
-(** One line per entry, oldest first, each terminated by a newline:
-    [<at> <event>] where [<at>] is {!Time.pp}'s millisecond rendering —
-    e.g. [1.000ms one] for an event recorded at 1 ms. *)

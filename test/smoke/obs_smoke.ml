@@ -101,14 +101,18 @@ let () =
   if total <> Model.modular_messages ~n:3 ~m:1 * instances then
     fail "modular total %d <> modular_messages(3,1) x %d" total instances;
 
+  (* Spans are the only per-step record: a decide span must be there, and
+     no flat "trace" line may be. *)
   let t = parse_file "modular trace" trace_mod in
   if
     not
       (List.exists
          (fun j ->
-           str_field "type" j = Some "trace" && str_field "phase" j = Some "decide")
+           str_field "type" j = Some "span" && str_field "phase" j = Some "decide")
          t)
-  then fail "trace has no decide event";
+  then fail "trace has no decide span";
+  if List.exists (fun j -> str_field "type" j = Some "trace") t then
+    fail "trace has a flat \"type\":\"trace\" line";
 
   (* Monolithic, loaded enough that instances overlap (the closed form's
      steady-state assumption): the window-normalized gauge matches

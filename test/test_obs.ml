@@ -70,10 +70,11 @@ let test_noop_records_nothing () =
   Obs.incr Obs.noop "a";
   Obs.set_gauge Obs.noop "g" 1.0;
   Obs.observe Obs.noop "h" 1.0;
-  Obs.event Obs.noop ~pid:0 ~layer:`Net ~phase:"tx" ();
+  Alcotest.(check int) "span id" Obs.Span.no_parent
+    (Obs.span Obs.noop ~pid:0 ~layer:`Net ~phase:"tx" ());
   Alcotest.(check int) "no counter" 0 (Obs.counter_value Obs.noop "a");
   Alcotest.(check (option (float 0.))) "no gauge" None (Obs.gauge_value Obs.noop "g");
-  Alcotest.(check int) "no events" 0 (Obs.event_count Obs.noop)
+  Alcotest.(check int) "no spans" 0 (Obs.span_count Obs.noop)
 
 (* ---- JSONL round-trip ---- *)
 
@@ -81,16 +82,11 @@ let str_field name j = Jsonl.(to_string_opt (member name j))
 let int_field name j = Jsonl.(to_int_opt (member name j))
 
 let make_populated_obs () =
-  let engine = Engine.create () in
-  let obs = Obs.of_engine engine in
+  let obs = Obs.create () in
   Obs.incr obs ~by:7 "net.msgs.consensus";
   Obs.set_gauge obs "run.throughput" 123.5;
   Obs.observe obs "abcast.e2e_ms" 1.25;
   Obs.observe obs "abcast.e2e_ms" 9999.0;
-  ignore
-    (Engine.schedule_after engine (Time.span_us 3) (fun () ->
-         Obs.event obs ~pid:2 ~layer:`Consensus ~phase:"propose" ~detail:"i0 r1" ()));
-  Engine.run engine;
   obs
 
 let test_jsonl_metrics_roundtrip () =
@@ -130,23 +126,6 @@ let test_jsonl_metrics_roundtrip () =
   | g ->
     Alcotest.(check (option (float 1e-9))) "gauge value" (Some 123.5)
       Jsonl.(to_float_opt (member "value" g))
-
-let test_jsonl_trace_roundtrip () =
-  let obs = make_populated_obs () in
-  let lines = Jsonl.trace_lines obs in
-  Alcotest.(check int) "one line per event" 1 (List.length lines);
-  let j =
-    match Jsonl.parse (List.hd lines) with
-    | Ok j -> j
-    | Error e -> Alcotest.failf "unparsable trace line: %s" e
-  in
-  Alcotest.(check (option string)) "type" (Some "trace") (str_field "type" j);
-  Alcotest.(check (option int)) "virtual-clock stamp" (Some 3000)
-    (int_field "at_ns" j);
-  Alcotest.(check (option int)) "pid" (Some 2) (int_field "pid" j);
-  Alcotest.(check (option string)) "layer" (Some "consensus") (str_field "layer" j);
-  Alcotest.(check (option string)) "phase" (Some "propose") (str_field "phase" j);
-  Alcotest.(check (option string)) "detail" (Some "i0 r1") (str_field "detail" j)
 
 let test_jsonl_parse_errors () =
   (match Jsonl.parse "{\"a\":" with
@@ -209,7 +188,7 @@ let test_noop_sink_changes_nothing () =
     by_layer;
   Alcotest.(check bool) "decisions recorded" true
     (Obs.counter_value obs "consensus.decisions" > 0);
-  Alcotest.(check bool) "trace non-empty" true (Obs.event_count obs > 0)
+  Alcotest.(check bool) "trace non-empty" true (Obs.span_count obs > 0)
 
 (* The analytical cross-check of the ISSUE: per-layer counts of a
    deterministic n=3 modular run against Analysis.Model, layer by layer. *)
@@ -258,7 +237,6 @@ let () =
       ( "jsonl",
         [
           Alcotest.test_case "metrics round-trip" `Quick test_jsonl_metrics_roundtrip;
-          Alcotest.test_case "trace round-trip" `Quick test_jsonl_trace_roundtrip;
           Alcotest.test_case "parse errors" `Quick test_jsonl_parse_errors;
         ] );
       ( "non-perturbation",

@@ -149,9 +149,8 @@ let test_recording_invisible kind () =
     (strip_snapshot_counters (Jsonl.metric_lines obs1)
     = strip_snapshot_counters (Jsonl.metric_lines obs2));
   Alcotest.(check bool)
-    "trace and span lines identical" true
-    (Jsonl.trace_lines obs1 @ Jsonl.span_lines obs1
-    = Jsonl.trace_lines obs2 @ Jsonl.span_lines obs2)
+    "span lines identical" true
+    (Jsonl.span_lines obs1 = Jsonl.span_lines obs2)
 
 (* ---- observational equivalence: every frame's suffix reproduces ---- *)
 
@@ -204,7 +203,9 @@ let test_bisect_localizes () =
     | Error e -> Alcotest.failf "plan did not parse: %s" e
   in
   with_temp_log @@ fun path ->
-  let obs = Obs.create ~max_events:2_000 () in
+  (* The CLI's recording cap: large enough that spans inside the
+     violation window are still retained. *)
+  let obs = Obs.create ~max_events:20_000 () in
   let v =
     Replay.record_nemesis ~obs ~kind:Replica.Monolithic ~n:5 ~seed:3 ~schedule
       ~offered_load:600.0 ~settle_s:0.5 ~every_ns:250_000_000 ~path ()
@@ -238,7 +239,22 @@ let test_bisect_localizes () =
       | None -> false);
     Alcotest.(check bool)
       "report lines render" true
-      (List.length (Replay.bisect_report_lines r) > List.length r.Replay.b_diff)
+      (List.length (Replay.bisect_report_lines r) > List.length r.Replay.b_diff);
+    let in_window line =
+      match Jsonl.parse line with
+      | Error _ -> false
+      | Ok j -> (
+        Jsonl.(to_string_opt (member "type" j)) = Some "span"
+        &&
+        match Jsonl.(to_int_opt (member "at_ns" j)) with
+        | Some at ->
+          let at_ms = float_of_int at /. 1e6 in
+          at_ms > r.Replay.b_from_ms && at_ms <= r.Replay.b_to_ms
+        | None -> false)
+    in
+    Alcotest.(check bool)
+      "window lines are spans inside (from, to]" true
+      (r.Replay.b_window_spans <> [] && List.for_all in_window r.Replay.b_window_spans)
 
 (* A passing run has nothing to bisect. *)
 let test_bisect_clean_run () =

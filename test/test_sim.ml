@@ -529,9 +529,8 @@ let test_trace () =
   Engine.run e;
   Alcotest.(check (list string)) "events in order" [ "one"; "two" ] (Trace.events tr);
   Alcotest.(check int) "length" 2 (Trace.length tr);
-  match Trace.find_last tr ~f:(fun v -> v = "one") with
-  | Some entry -> Alcotest.(check int) "timestamped" 1_000_000 (Time.to_ns entry.Trace.at)
-  | None -> Alcotest.fail "entry not found"
+  Alcotest.(check (list int)) "timestamped" [ 1_000_000; 2_000_000 ]
+    (List.map (fun (entry : string Trace.entry) -> Time.to_ns entry.Trace.at) (Trace.entries tr))
 
 let () =
   Alcotest.run "sim"

@@ -14,6 +14,8 @@ module Span = Repro_obs.Span
 module Jsonl = Repro_obs.Jsonl
 module Cp = Repro_analysis.Critical_path
 module Br = Repro_analysis.Bench_report
+module Chrome_trace = Repro_analysis.Chrome_trace
+module Schedule = Repro_fault.Schedule
 
 let stacks =
   [
@@ -121,6 +123,113 @@ let test_spans_do_not_perturb (name, kind) () =
   Alcotest.(check int) (name ^ ": same final virtual time")
     (Time.to_ns (Engine.now (Group.engine plain)))
     (Time.to_ns (Engine.now (Group.engine observed)))
+
+(* ---- Spans that end a chain: fault steps and checksum drops ---- *)
+
+(* Sids on the causal chain of any application delivery. *)
+let delivery_ancestors spans =
+  let tbl = Span.index spans in
+  List.concat_map
+    (fun d -> List.map (fun (s : Span.t) -> s.Span.sid) (Span.chain tbl d))
+    (List.filter Cp.is_delivery spans)
+
+let check_off_delivery_chains what spans ends =
+  let on_chain = delivery_ancestors spans in
+  Alcotest.(check (list int)) (what ^ " never lead to a delivery") []
+    (List.filter_map
+       (fun (s : Span.t) -> if List.mem s.Span.sid on_chain then Some s.Span.sid else None)
+       ends)
+
+let test_fault_spans () =
+  let obs = Obs.create () in
+  let params = Params.default ~n:3 in
+  let group = Group.create ~kind:Replica.Modular ~params ~obs () in
+  let step ms action = { Schedule.at = Time.span_ms ms; action } in
+  let schedule =
+    [ step 3 (Schedule.Crash 2); step 6 (Schedule.Delay_spike (Time.span_ms 1)) ]
+  in
+  ignore (Repro_fault.Nemesis.install_exn ~obs group schedule);
+  for i = 0 to msgs - 1 do
+    Group.abcast group (i mod 2) ~size:512
+  done;
+  ignore (Group.run_until_quiescent group ~limit:(Time.span_s 2) ());
+  let spans = Obs.spans obs in
+  let faults =
+    List.filter (fun (s : Span.t) -> s.Span.layer = `Net && s.Span.phase = "fault") spans
+  in
+  Alcotest.(check (list string)) "one fault span per step, in plan order"
+    (List.map (fun (st : Schedule.step) -> Schedule.action_to_string st.Schedule.action) schedule)
+    (List.map (fun (s : Span.t) -> s.Span.detail) faults);
+  Alcotest.(check bool) "fault spans are roots" true (List.for_all Span.is_root faults);
+  Alcotest.(check (list int)) "stamped at the step instants" [ 3_000_000; 6_000_000 ]
+    (List.map (fun (s : Span.t) -> Time.to_ns s.Span.at) faults);
+  check_off_delivery_chains "fault spans" spans faults
+
+let test_checksum_drop_spans () =
+  let obs = Obs.create () in
+  let params = { (Params.default ~n:3) with Params.checksums = true } in
+  let group = Group.create ~kind:Replica.Modular ~params ~obs () in
+  ignore
+    (Repro_fault.Nemesis.install_exn group
+       [ { Schedule.at = Time.span_zero; action = Schedule.Corrupt_rate 0.2 } ]);
+  for i = 0 to msgs - 1 do
+    Group.abcast group (i mod 3) ~size:512
+  done;
+  ignore (Group.run_until_quiescent group ~limit:(Time.span_s 2) ());
+  let spans = Obs.spans obs in
+  let tbl = Span.index spans in
+  let drops =
+    List.filter
+      (fun (s : Span.t) ->
+        s.Span.phase = "drop" && String.starts_with ~prefix:"checksum: " s.Span.detail)
+      spans
+  in
+  Alcotest.(check bool) "tampered copies left checksum drop spans" true (drops <> []);
+  List.iter
+    (fun (d : Span.t) ->
+      Alcotest.(check (option string)) "parent is the copy's rx span" (Some "rx")
+        (Option.map (fun (p : Span.t) -> p.Span.phase) (Hashtbl.find_opt tbl d.Span.parent)))
+    drops;
+  check_off_delivery_chains "checksum drops" spans drops
+
+(* ---- Chrome trace export ---- *)
+
+let parse_one line =
+  match Jsonl.parse line with Ok j -> j | Error e -> Alcotest.failf "bad fixture %s: %s" line e
+
+let test_chrome_export () =
+  let lines =
+    List.map parse_one
+      [
+        {|{"type":"counter","name":"net.msgs.abcast","value":4}|};
+        {|{"type":"trace","at_ns":1000,"pid":0,"layer":"net","phase":"tx","detail":"x"}|};
+        {|{"type":"span","sid":1,"parent":0,"at_ns":2000,"pid":0,"layer":"app","phase":"publish","detail":""}|};
+        {|{"type":"span","sid":2,"parent":1,"at_ns":5500,"pid":1,"layer":"consensus","phase":"propose","detail":"i0 r1"}|};
+      ]
+  in
+  let events =
+    match Jsonl.member "traceEvents" (Chrome_trace.export lines) with
+    | Some (Jsonl.List evs) ->
+      List.filter (fun e -> Jsonl.(to_string_opt (member "ph" e)) <> Some "M") evs
+    | _ -> Alcotest.fail "no traceEvents array"
+  in
+  let str k e = Jsonl.(to_string_opt (member k e)) in
+  let num k e = Jsonl.(to_float_opt (member k e)) in
+  let int k e = Jsonl.(to_int_opt (member k e)) in
+  match events with
+  | [ root; child ] ->
+    Alcotest.(check (option string)) "root is an instant" (Some "i") (str "ph" root);
+    Alcotest.(check (option string)) "thread-scoped instant" (Some "t") (str "s" root);
+    Alcotest.(check (option (float 0.))) "root ts" (Some 2.0) (num "ts" root);
+    Alcotest.(check (option int)) "root pid is 1-based" (Some 1) (int "pid" root);
+    Alcotest.(check (option int)) "app tid" (Some 4) (int "tid" root);
+    Alcotest.(check (option string)) "child is complete" (Some "X") (str "ph" child);
+    Alcotest.(check (option (float 0.))) "child starts at parent.at" (Some 2.0) (num "ts" child);
+    Alcotest.(check (option (float 0.))) "child lasts at - parent.at" (Some 3.5) (num "dur" child);
+    Alcotest.(check (option int)) "child pid is 1-based" (Some 2) (int "pid" child);
+    Alcotest.(check (option int)) "consensus tid" (Some 1) (int "tid" child);
+    Alcotest.(check (option string)) "name is the phase" (Some "propose") (str "name" child)
+  | evs -> Alcotest.failf "expected 2 span events, got %d" (List.length evs)
 
 (* ---- JSONL round-trip ---- *)
 
@@ -264,6 +373,12 @@ let () =
       per_stack "complete chains" test_complete_chains;
       per_stack "telescoping" test_telescoping;
       per_stack "non-perturbation" test_spans_do_not_perturb;
+      ( "chain ends",
+        [
+          Alcotest.test_case "fault step spans" `Quick test_fault_spans;
+          Alcotest.test_case "checksum drop spans" `Quick test_checksum_drop_spans;
+        ] );
+      ("chrome-trace", [ Alcotest.test_case "export" `Quick test_chrome_export ]);
       ( "jsonl",
         [
           Alcotest.test_case "span round-trip" `Quick test_span_jsonl_roundtrip;
