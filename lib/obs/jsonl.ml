@@ -287,7 +287,7 @@ let render_span tags (s : Span.t) =
            ("detail", String s.Span.detail);
          ]))
 
-let span_line ?(tags = []) s = render_span (tag_fields tags) s
+let span_line s = render_span [] s
 
 let span_lines ?(tags = []) obs =
   let tags = tag_fields tags in

@@ -62,7 +62,7 @@ val metric_lines : ?tags:(string * string) list -> Obs.t -> string list
 (** The metrics schema, one rendered line per counter, gauge and
     histogram (counters first, each family sorted by name). *)
 
-val span_line : ?tags:(string * string) list -> Span.t -> string
+val span_line : Span.t -> string
 (** One causal span rendered as a trace line. *)
 
 val span_lines : ?tags:(string * string) list -> Obs.t -> string list

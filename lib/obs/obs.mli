@@ -88,8 +88,9 @@ val tracing : t -> bool
 (** Enabled {e and} retaining spans ([max_events > 0]). Guard expensive
     per-step work — detail-string formatting, span creation — on this
     rather than {!enabled}: a metrics-only sink ([create ~max_events:0])
-    keeps counters exact while skipping the span machinery entirely, which is what makes it cheap enough
-    for the sharded million-client cells. *)
+    keeps counters exact while skipping the span machinery entirely,
+    which is what makes it cheap enough for the sharded million-client
+    cells. *)
 
 val now : t -> Time.t
 (** The sink's current clock reading. *)

@@ -491,7 +491,7 @@ let bisect log =
       Obs.spans world.World.obs
       |> List.filter (fun (s : Obs.Span.t) ->
              Time.(s.Obs.Span.at > from_t) && Time.(s.Obs.Span.at <= to_t))
-      |> List.map (fun s -> Jsonl.span_line s)
+      |> List.map Jsonl.span_line
     in
     Some
       {
