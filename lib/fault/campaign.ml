@@ -158,7 +158,7 @@ let stage ~kind ~n ~seed ~schedule ?(offered_load = 600.0) ?(settle_s = 5.0)
   in
   let monitor = Monitor.create ~seed ~schedule ~n () in
   Monitor.attach monitor group;
-  ignore (Nemesis.install_exn group schedule);
+  ignore (Nemesis.install_exn ~obs group schedule);
   let generator = Generator.start group ~offered_load ~size:1024 () in
   let load_end =
     Time.add Time.zero (Time.span_add (Schedule.duration schedule) (Time.span_ms 200))

@@ -17,37 +17,79 @@ type json =
   | List of json list
   | Obj of (string * json) list
 
-let escape_string s =
-  let buf = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
+(* Appends [s] as a quoted JSON string. Runs of bytes that need no
+   escaping go in with one blit each, so a clean string — every span's
+   layer and phase, nearly every detail — is a single blit. *)
+let add_quoted buf s =
+  Buffer.add_char buf '"';
+  let n = String.length s in
+  let clean = ref 0 in
+  for i = 0 to n - 1 do
+    let c = String.unsafe_get s i in
+    if c = '"' || c = '\\' || Char.code c < 0x20 then begin
+      Buffer.add_substring buf s !clean (i - !clean);
+      clean := i + 1;
       match c with
       | '"' -> Buffer.add_string buf "\\\""
       | '\\' -> Buffer.add_string buf "\\\\"
       | '\n' -> Buffer.add_string buf "\\n"
       | '\r' -> Buffer.add_string buf "\\r"
       | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+      | c ->
+        Buffer.add_string buf "\\u00";
+        Buffer.add_char buf "0123456789abcdef".[Char.code c lsr 4];
+        Buffer.add_char buf "0123456789abcdef".[Char.code c land 0xf]
+    end
+  done;
+  Buffer.add_substring buf s !clean (n - !clean);
+  Buffer.add_char buf '"'
+
+(* Decimal digits straight into the buffer, with no intermediate string. *)
+let rec add_digits buf i =
+  if i >= 10 then add_digits buf (i / 10);
+  Buffer.add_char buf (Char.unsafe_chr (Char.code '0' + (i mod 10)))
+
+let add_int buf i =
+  if i >= 0 then add_digits buf i
+  else if i = min_int then Buffer.add_string buf (string_of_int i)
+  else begin
+    Buffer.add_char buf '-';
+    add_digits buf (-i)
+  end
 
 let float_literal f =
   if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.1f" f
   else Printf.sprintf "%.12g" f
 
-let rec to_string = function
-  | Null -> "null"
-  | Bool b -> if b then "true" else "false"
-  | Int i -> string_of_int i
-  | Float f -> float_literal f
-  | String s -> "\"" ^ escape_string s ^ "\""
-  | List items -> "[" ^ String.concat "," (List.map to_string items) ^ "]"
+let rec to_buffer buf = function
+  | Null -> Buffer.add_string buf "null"
+  | Bool b -> Buffer.add_string buf (if b then "true" else "false")
+  | Int i -> add_int buf i
+  | Float f -> Buffer.add_string buf (float_literal f)
+  | String s -> add_quoted buf s
+  | List items ->
+    Buffer.add_char buf '[';
+    List.iteri
+      (fun i v ->
+        if i > 0 then Buffer.add_char buf ',';
+        to_buffer buf v)
+      items;
+    Buffer.add_char buf ']'
   | Obj fields ->
-    "{"
-    ^ String.concat ","
-        (List.map (fun (k, v) -> "\"" ^ escape_string k ^ "\":" ^ to_string v) fields)
-    ^ "}"
+    Buffer.add_char buf '{';
+    List.iteri
+      (fun i (k, v) ->
+        if i > 0 then Buffer.add_char buf ',';
+        add_quoted buf k;
+        Buffer.add_char buf ':';
+        to_buffer buf v)
+      fields;
+    Buffer.add_char buf '}'
+
+let to_string j =
+  let buf = Buffer.create 64 in
+  to_buffer buf j;
+  Buffer.contents buf
 
 exception Parse_error of int * string
 
@@ -224,7 +266,7 @@ let to_string_opt = function Some (String s) -> Some s | _ -> None
 
 let tag_fields tags = List.map (fun (k, v) -> (k, String v)) tags
 
-let metric_lines ?(tags = []) obs =
+let metric_jsons tags obs =
   let tags = tag_fields tags in
   let counter (name, value) =
     Obj (tags @ [ ("type", String "counter"); ("name", String name); ("value", Int value) ])
@@ -254,45 +296,71 @@ let metric_lines ?(tags = []) obs =
   List.map counter (Obs.counters obs)
   @ List.map gauge (Obs.gauges obs)
   @ List.map histogram (Obs.histograms obs)
-  |> List.map to_string
+
+let metric_lines ?(tags = []) obs = List.map to_string (metric_jsons tags obs)
 
 (* A single marker line flags a stream hitting the [max_events] cap, so a
    truncated export can never be mistaken for a complete one. *)
-let truncation_line tags ~stream ~dropped =
-  if dropped = 0 then []
-  else
-    [
-      to_string
-        (Obj
-           (tags
-           @ [
-               ("type", String "trace_truncated");
-               ("stream", String stream);
-               ("dropped", Int dropped);
-             ]));
-    ]
+let truncation_json tags obs =
+  match Obs.dropped_spans obs with
+  | 0 -> None
+  | dropped ->
+    Some
+      (Obj
+         (tag_fields tags
+         @ [
+             ("type", String "trace_truncated");
+             ("stream", String "spans");
+             ("dropped", Int dropped);
+           ]))
 
-let render_span tags (s : Span.t) =
-  to_string
-    (Obj
-       (tags
-       @ [
-           ("type", String "span");
-           ("sid", Int s.Span.sid);
-           ("parent", Int s.Span.parent);
-           ("at_ns", Int (Time.to_ns s.Span.at));
-           ("pid", Int s.Span.pid);
-           ("layer", String (Span.layer_name s.Span.layer));
-           ("phase", String s.Span.phase);
-           ("detail", String s.Span.detail);
-         ]))
+(* The opening brace and the rendered tags, each followed by a comma:
+   the part of every span line that does not depend on the span. *)
+let span_prefix tags =
+  let buf = Buffer.create 64 in
+  Buffer.add_char buf '{';
+  List.iter
+    (fun (k, v) ->
+      add_quoted buf k;
+      Buffer.add_char buf ':';
+      add_quoted buf v;
+      Buffer.add_char buf ',')
+    tags;
+  Buffer.contents buf
 
-let span_line s = render_span [] s
+(* Appends one span line (no newline) to [buf]: the bytes [to_string]
+   gives an [Obj] of the tags followed by these eight fields. *)
+let add_span prefix buf (s : Span.t) =
+  Buffer.add_string buf prefix;
+  Buffer.add_string buf "\"type\":\"span\",\"sid\":";
+  add_int buf s.Span.sid;
+  Buffer.add_string buf ",\"parent\":";
+  add_int buf s.Span.parent;
+  Buffer.add_string buf ",\"at_ns\":";
+  add_int buf (Time.to_ns s.Span.at);
+  Buffer.add_string buf ",\"pid\":";
+  add_int buf s.Span.pid;
+  Buffer.add_string buf ",\"layer\":";
+  add_quoted buf (Span.layer_name s.Span.layer);
+  Buffer.add_string buf ",\"phase\":";
+  add_quoted buf s.Span.phase;
+  Buffer.add_string buf ",\"detail\":";
+  add_quoted buf s.Span.detail;
+  Buffer.add_char buf '}'
+
+let render_span prefix buf s =
+  Buffer.clear buf;
+  add_span prefix buf s;
+  Buffer.contents buf
+
+let span_line s = render_span (span_prefix []) (Buffer.create 256) s
 
 let span_lines ?(tags = []) obs =
-  let tags = tag_fields tags in
-  List.map (render_span tags) (Obs.spans obs)
-  @ truncation_line tags ~stream:"spans" ~dropped:(Obs.dropped_spans obs)
+  let buf = Buffer.create 256 and prefix = span_prefix tags in
+  Obs.fold_spans_right
+    (fun s lines -> render_span prefix buf s :: lines)
+    obs
+    (Option.to_list (Option.map to_string (truncation_json tags obs)))
 
 (* Read spans back out of a parsed JSONL trace (lines of any other type
    are ignored), for offline critical-path analysis. *)
@@ -324,11 +392,24 @@ let span_of_json j =
 
 let spans_of_lines lines = List.filter_map span_of_json lines
 
-let write_file path lines =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> List.iter (fun l -> output_string oc l; output_char oc '\n') lines)
+(* Renders one line into the reused [buf] and copies it to the channel
+   from there, so no line string and no list of lines is built. *)
+let output_line oc buf add x =
+  Buffer.clear buf;
+  add buf x;
+  Buffer.add_char buf '\n';
+  Buffer.output_buffer oc buf
 
-let write_metrics_file ?tags path obs = write_file path (metric_lines ?tags obs)
-let write_trace_file ?tags path obs = write_file path (span_lines ?tags obs)
+let write_lines path f =
+  let oc = open_out path in
+  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> f oc (Buffer.create 256))
+
+let write_metrics_file ?(tags = []) path obs =
+  write_lines path (fun oc buf ->
+      List.iter (output_line oc buf to_buffer) (metric_jsons tags obs))
+
+let write_trace_file ?(tags = []) path obs =
+  let prefix = span_prefix tags in
+  write_lines path (fun oc buf ->
+      List.iter (output_line oc buf (add_span prefix)) (Obs.spans obs);
+      Option.iter (output_line oc buf to_buffer) (truncation_json tags obs))

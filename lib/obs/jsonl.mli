@@ -40,7 +40,9 @@ type json =
   | Obj of (string * json) list
 
 val to_string : json -> string
-(** Compact (single-line) rendering. *)
+(** Compact (single-line) rendering. Strings escape the double quote,
+    the backslash and every control byte below 0x20; other bytes pass
+    through as they are. *)
 
 val parse : string -> (json, string) result
 (** Parse one JSON value; [Error] carries a position-tagged message. *)
@@ -77,7 +79,10 @@ val spans_of_lines : json list -> Span.t list
 (** All spans in a parsed JSONL document, in file order. *)
 
 val write_metrics_file : ?tags:(string * string) list -> string -> Obs.t -> unit
-(** Create/truncate [path] and write the metrics lines. *)
+(** Create/truncate [path] and write the {!metric_lines}, each followed by
+    a newline. Lines are rendered one at a time into a reused buffer and
+    streamed to the file. *)
 
 val write_trace_file : ?tags:(string * string) list -> string -> Obs.t -> unit
-(** Create/truncate [path] and write the span lines. *)
+(** Create/truncate [path] and write the {!span_lines}, each followed by a
+    newline, streamed like {!write_metrics_file}. *)

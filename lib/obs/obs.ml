@@ -20,14 +20,13 @@ type t = {
 }
 
 let make ~enabled ~max_events =
-  let now = ref (fun () -> Time.zero) in
   {
     enabled;
-    now = (fun () -> !now ());
+    now = (fun () -> Time.zero);
     counters = Hashtbl.create 64;
     gauges = Hashtbl.create 16;
     histograms = Hashtbl.create 16;
-    spans = Trace.create_with_clock (fun () -> !now ());
+    spans = Trace.create ();
     max_events;
     dropped_spans = 0;
     next_sid = 0;
@@ -47,11 +46,7 @@ let create ?(max_events = 2_000_000) () = make ~enabled:true ~max_events
    disabled path. *)
 let create_like t = if t.enabled then make ~enabled:true ~max_events:t.max_events else t
 
-let set_clock t now =
-  if t.enabled then begin
-    t.now <- now;
-    Trace.set_clock t.spans now
-  end
+let set_clock t now = if t.enabled then t.now <- now
 
 let of_engine engine =
   let t = create () in
@@ -163,6 +158,7 @@ let with_span_ctx t sid f =
   end
 
 let spans t = Trace.events t.spans
+let fold_spans_right f t init = Trace.fold_right f t.spans init
 let span_count t = Trace.length t.spans
 let dropped_spans t = t.dropped_spans
 

@@ -166,6 +166,10 @@ val with_span_ctx : t -> int -> (unit -> 'a) -> 'a
 val spans : t -> Span.t list
 (** All retained spans, oldest first. *)
 
+val fold_spans_right : (Span.t -> 'a -> 'a) -> t -> 'a -> 'a
+(** [fold_spans_right f t init] is [List.fold_right f (spans t) init],
+    without building the list. *)
+
 val span_count : t -> int
 
 val dropped_spans : t -> int

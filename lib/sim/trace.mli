@@ -1,54 +1,40 @@
-(** Timestamped event recorder.
+(** Append-only event log.
 
-    A lightweight append-only log of labelled events, used by tests to
-    assert on protocol histories and by the observability layer
-    ([Repro_obs.Obs]) as the store behind its causal spans. Recording is
-    O(1); the log lives entirely in memory.
-
-    The clock is a plain closure so the recorder does not depend on who
-    owns the engine: {!create} wires it to an engine's virtual clock, and
-    {!create_with_clock} accepts any [unit -> Time.t] (the observability
-    sink wires its clock after construction via {!set_clock}).
+    A clockless, in-memory log of values in record order. It is the
+    store behind the observability layer's causal spans
+    ([Repro_obs.Obs]); each span carries its own instant, so the log
+    stamps nothing itself. Recording is O(1).
 
     {2 Determinism obligations}
 
-    - Entries are stored and returned strictly in record order with their
-      virtual timestamps; no hash-ordered container is involved, so two
-      identical runs export byte-identical traces.
-    - {!absorb} preserves source order and timestamps, which is what lets
-      the parallel harness merge per-task traces into exactly the log a
-      sequential run would have written. *)
+    - Events are stored and returned strictly in record order; no
+      hash-ordered container is involved, so two identical runs export
+      byte-identical traces.
+    - {!absorb} preserves source order, which is what lets the parallel
+      harness merge per-task traces into exactly the log a sequential
+      run would have written. *)
 
 type 'a t
-(** A trace of events of type ['a]. *)
+(** A log of events of type ['a]. *)
 
-type 'a entry = { at : Time.t; event : 'a }
-
-val create : Engine.t -> 'a t
-(** A fresh empty trace stamping entries with the engine's clock. *)
-
-val create_with_clock : (unit -> Time.t) -> 'a t
-(** A fresh empty trace stamping entries with an arbitrary clock. *)
-
-val set_clock : 'a t -> (unit -> Time.t) -> unit
-(** Replace the clock used for subsequent entries. Existing entries keep
-    their timestamps. *)
+val create : unit -> 'a t
+(** A fresh empty log. *)
 
 val record : 'a t -> 'a -> unit
-(** Append an event at the current instant. *)
-
-val entries : 'a t -> 'a entry list
-(** All entries, oldest first. *)
+(** Append an event. *)
 
 val events : 'a t -> 'a list
-(** All events, oldest first, without timestamps. *)
+(** All events, oldest first. *)
 
 val length : 'a t -> int
-(** Number of recorded entries. *)
+(** Number of recorded events. *)
+
+val fold_right : ('a -> 'b -> 'b) -> 'a t -> 'b -> 'b
+(** [fold_right f t init] is [List.fold_right f (events t) init], without
+    building the list: [f] sees the newest event first. *)
 
 val absorb : ?limit:int -> ?map:('a -> 'a) -> into:'a t -> 'a t -> int
-(** [absorb ~limit ~map ~into src] appends [src]'s entries onto [into] in
-    order, preserving their timestamps and rewriting each event through
-    [map] (default identity), but never growing [into] past [limit]
-    entries (default unbounded). Returns the number of entries dropped by
-    the limit. [src] is not modified. *)
+(** [absorb ~limit ~map ~into src] appends [src]'s events onto [into] in
+    order, rewriting each through [map] (default identity), but never
+    growing [into] past [limit] events (default unbounded). Returns the
+    number of events dropped by the limit. [src] is not modified. *)

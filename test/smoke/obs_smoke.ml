@@ -2,7 +2,10 @@
    through the public CLI. Runs a tiny modular and monolithic experiment
    with --metrics-out/--trace-out, fails if the JSONL is empty or
    unparsable, and cross-checks the per-layer message counts against the
-   closed forms of Analysis.Model (§5.2.1). Wired into `dune runtest`. *)
+   closed forms of Analysis.Model (§5.2.1). Then pins the exported bytes:
+   one run per stack must reproduce the MD5 digests committed in
+   obs_golden.txt for its stdout, trace, metrics and Chrome export.
+   Wired into `dune runtest`. *)
 
 module Jsonl = Repro_obs.Jsonl
 module Model = Repro_analysis.Model
@@ -20,9 +23,9 @@ let read_file path =
   close_in ic;
   s
 
-let run_cli bin args =
+let run_cli ?(stdout = "/dev/null") bin args =
   let cmd = String.concat " " (List.map Filename.quote (bin :: args)) in
-  let code = Sys.command (cmd ^ " > /dev/null") in
+  let code = Sys.command (cmd ^ " > " ^ Filename.quote stdout) in
   if code <> 0 then fail "%s exited with %d" cmd code
 
 let parse_file what path =
@@ -60,11 +63,50 @@ let gauge lines name =
     | None -> fail "gauge %s has a non-numeric value" name)
   | None -> fail "no gauge %s in the metrics" name
 
+(* [((stack, output), md5)] pairs, one per non-comment line. *)
+let read_golden path =
+  read_file path |> String.split_on_char '\n'
+  |> List.filter (fun line -> line <> "" && line.[0] <> '#')
+  |> List.map (fun line ->
+         match String.split_on_char ' ' line with
+         | [ stack; output; md5 ] -> ((stack, output), md5)
+         | _ -> fail "bad golden line %S" line)
+
+let check_golden bin golden =
+  List.iter
+    (fun stack ->
+      let tmp suffix = Filename.temp_file ("obs_golden_" ^ stack) suffix in
+      let outputs =
+        [
+          ("stdout", tmp ".txt"); ("trace", tmp "_trace.jsonl");
+          ("metrics", tmp "_metrics.jsonl"); ("chrome", tmp "_chrome.json");
+        ]
+      in
+      let file o = List.assoc o outputs in
+      run_cli ~stdout:(file "stdout") bin
+        [
+          "run"; "--stack"; stack; "-n"; "3"; "--load"; "1000"; "--warmup"; "0.5";
+          "--measure"; "1"; "--trace-out"; file "trace"; "--metrics-out"; file "metrics";
+        ];
+      run_cli bin [ "trace-export"; "--trace"; file "trace"; "--chrome-out"; file "chrome" ];
+      List.iter
+        (fun (o, path) ->
+          let want =
+            match List.assoc_opt (stack, o) golden with
+            | Some md5 -> md5
+            | None -> fail "obs_golden.txt has no %s %s digest" stack o
+          in
+          let got = Digest.to_hex (Digest.file path) in
+          if got <> want then fail "%s %s bytes changed: md5 %s, golden %s" stack o got want;
+          Sys.remove path)
+        outputs)
+    [ "modular"; "monolithic"; "indirect" ]
+
 let () =
-  let bin =
+  let bin, golden =
     match Sys.argv with
-    | [| _; bin |] -> bin
-    | _ -> fail "usage: obs_smoke <path-to-repro-binary>"
+    | [| _; bin; golden |] -> (bin, read_golden golden)
+    | _ -> fail "usage: obs_smoke <path-to-repro-binary> <obs_golden.txt>"
   in
   let tmp suffix = Filename.temp_file "obs_smoke" suffix in
   let metrics_mod = tmp "_mod.jsonl"
@@ -131,4 +173,6 @@ let () =
     fail "monolithic run recorded no abcast-layer traffic";
 
   List.iter Sys.remove [ metrics_mod; trace_mod; metrics_mono ];
-  print_endline "obs-smoke: OK (JSONL parsable, per-layer counts match Model)"
+  check_golden bin golden;
+  print_endline
+    "obs-smoke: OK (JSONL parsable, per-layer counts match Model, golden bytes match)"

@@ -135,6 +135,168 @@ let test_jsonl_parse_errors () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "bad line accepted"
 
+(* ---- Renderer oracle ----
+
+   The tree-concatenating renderer [Jsonl.to_string] had before it wrote
+   into a buffer, kept here as the reference: the buffer renderer must
+   produce its bytes exactly. *)
+
+let ref_escape_string s =
+  let buf = Buffer.create (String.length s + 2) in
+  String.iter
+    (fun c ->
+      match c with
+      | '"' -> Buffer.add_string buf "\\\""
+      | '\\' -> Buffer.add_string buf "\\\\"
+      | '\n' -> Buffer.add_string buf "\\n"
+      | '\r' -> Buffer.add_string buf "\\r"
+      | '\t' -> Buffer.add_string buf "\\t"
+      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+      | c -> Buffer.add_char buf c)
+    s;
+  Buffer.contents buf
+
+let ref_float_literal f =
+  if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.1f" f
+  else Printf.sprintf "%.12g" f
+
+let rec ref_to_string = function
+  | Jsonl.Null -> "null"
+  | Jsonl.Bool b -> if b then "true" else "false"
+  | Jsonl.Int i -> string_of_int i
+  | Jsonl.Float f -> ref_float_literal f
+  | Jsonl.String s -> "\"" ^ ref_escape_string s ^ "\""
+  | Jsonl.List items -> "[" ^ String.concat "," (List.map ref_to_string items) ^ "]"
+  | Jsonl.Obj fields ->
+    "{"
+    ^ String.concat ","
+        (List.map (fun (k, v) -> "\"" ^ ref_escape_string k ^ "\":" ^ ref_to_string v) fields)
+    ^ "}"
+
+let gen_string =
+  (* Every byte value, with the ones that need escaping drawn often. *)
+  let special = QCheck.Gen.oneofl [ '"'; '\\'; '\n'; '\r'; '\t'; '\000'; '\031'; '\127'; '\255' ] in
+  QCheck.Gen.(string_size ~gen:(frequency [ (3, char); (1, special) ]) (int_bound 12))
+
+let gen_int =
+  QCheck.Gen.(
+    frequency
+      [ (4, int); (2, int_range (-1000) 1000); (1, oneofl [ min_int; max_int; 0; -1; 9; 10 ]) ])
+
+let gen_float =
+  QCheck.Gen.(
+    frequency
+      [
+        (3, float);
+        (2, map float_of_int (int_range (-100_000) 100_000));
+        (1, map (fun f -> f *. 1e15) float);
+        ( 1,
+          oneofl
+            [ 0.0; -0.0; 1e15; -1e15; 999_999_999_999_999.0; 1e300; -1e-300; 0.1; -2.5 ] );
+      ])
+
+let gen_json =
+  QCheck.Gen.(
+    sized
+    @@ fix (fun self n ->
+           let leaf =
+             oneof
+               [
+                 return Jsonl.Null;
+                 map (fun b -> Jsonl.Bool b) bool;
+                 map (fun i -> Jsonl.Int i) gen_int;
+                 map (fun f -> Jsonl.Float f) gen_float;
+                 map (fun s -> Jsonl.String s) gen_string;
+               ]
+           in
+           if n <= 0 then leaf
+           else
+             frequency
+               [
+                 (2, leaf);
+                 (1, map (fun l -> Jsonl.List l) (list_size (int_bound 4) (self (n / 3))));
+                 ( 1,
+                   map
+                     (fun l -> Jsonl.Obj l)
+                     (list_size (int_bound 4) (pair gen_string (self (n / 3)))) );
+               ]))
+
+let prop_renderer_matches_reference =
+  QCheck.Test.make ~name:"to_string equals the tree renderer" ~count:2000
+    (QCheck.make ~print:ref_to_string gen_json)
+    (fun j -> Jsonl.to_string j = ref_to_string j)
+
+let prop_ints_and_strings_roundtrip =
+  QCheck.Test.make ~name:"parse (to_string j) round-trips ints and strings" ~count:2000
+    (QCheck.make
+       ~print:(fun (i, s) -> Printf.sprintf "%d %S" i s)
+       QCheck.Gen.(pair gen_int gen_string))
+    (fun (i, s) ->
+      let j = Jsonl.List [ Jsonl.Int i; Jsonl.String s; Jsonl.Obj [ (s, Jsonl.Int i) ] ] in
+      Jsonl.parse (Jsonl.to_string j) = Ok j)
+
+(* ---- Export shape ----
+
+   The file writers stream what [span_lines] and [metric_lines] return,
+   one line each followed by a newline, truncation marker included. Tag
+   values carry a quote and a backslash so the prefix escaping is on the
+   compared path. *)
+
+let read_file path =
+  let ic = open_in_bin path in
+  Fun.protect
+    ~finally:(fun () -> close_in ic)
+    (fun () -> really_input_string ic (in_channel_length ic))
+
+let file_of_lines lines = String.concat "" (List.map (fun l -> l ^ "\n") lines)
+
+let test_export_shape () =
+  let tags = [ ("stack", "mod\"ular"); ("run", "a\\b") ] in
+  let obs = Obs.create ~max_events:3 () in
+  let clock = ref Time.zero in
+  Obs.set_clock obs (fun () -> !clock);
+  List.iteri
+    (fun i detail ->
+      clock := Time.of_ns (1000 * (i + 1));
+      ignore (Obs.span obs ~pid:(i mod 3) ~layer:`Consensus ~phase:"propose" ~detail ()))
+    [ "plain"; "quote \" and \\"; "tab\tnl\n"; "dropped"; "dropped too" ];
+  Obs.incr obs ~by:7 "net.msgs.consensus";
+  Obs.set_gauge obs "run.throughput" 123.5;
+  Obs.observe obs "abcast.e2e_ms" 1.25;
+  let spans = Jsonl.span_lines ~tags obs in
+  Alcotest.(check int) "three spans and the marker" 4 (List.length spans);
+  Alcotest.(check (list string))
+    "span lines equal the tree renderer"
+    (List.map
+       (fun (s : Obs.Span.t) ->
+         ref_to_string
+           (Jsonl.Obj
+              (List.map (fun (k, v) -> (k, Jsonl.String v)) tags
+              @ [
+                  ("type", Jsonl.String "span");
+                  ("sid", Jsonl.Int s.Obs.Span.sid);
+                  ("parent", Jsonl.Int s.Obs.Span.parent);
+                  ("at_ns", Jsonl.Int (Time.to_ns s.Obs.Span.at));
+                  ("pid", Jsonl.Int s.Obs.Span.pid);
+                  ("layer", Jsonl.String (Obs.Span.layer_name s.Obs.Span.layer));
+                  ("phase", Jsonl.String s.Obs.Span.phase);
+                  ("detail", Jsonl.String s.Obs.Span.detail);
+                ])))
+       (Obs.spans obs))
+    (List.filteri (fun i _ -> i < 3) spans);
+  Alcotest.(check string) "truncation marker"
+    "{\"stack\":\"mod\\\"ular\",\"run\":\"a\\\\b\",\"type\":\"trace_truncated\",\"stream\":\"spans\",\"dropped\":2}"
+    (List.nth spans 3);
+  let trace = Filename.temp_file "test_obs" "_trace.jsonl"
+  and metrics = Filename.temp_file "test_obs" "_metrics.jsonl" in
+  Jsonl.write_trace_file ~tags trace obs;
+  Jsonl.write_metrics_file ~tags metrics obs;
+  Alcotest.(check string) "trace file = span_lines" (file_of_lines spans) (read_file trace);
+  Alcotest.(check string) "metrics file = metric_lines"
+    (file_of_lines (Jsonl.metric_lines ~tags obs))
+    (read_file metrics);
+  List.iter Sys.remove [ trace; metrics ]
+
 (* ---- Observation does not perturb the run ---- *)
 
 (* The whole design contract (DESIGN.md §7): an instrumented run must have
@@ -238,6 +400,9 @@ let () =
         [
           Alcotest.test_case "metrics round-trip" `Quick test_jsonl_metrics_roundtrip;
           Alcotest.test_case "parse errors" `Quick test_jsonl_parse_errors;
+          QCheck_alcotest.to_alcotest prop_renderer_matches_reference;
+          QCheck_alcotest.to_alcotest prop_ints_and_strings_roundtrip;
+          Alcotest.test_case "export shape" `Quick test_export_shape;
         ] );
       ( "non-perturbation",
         [

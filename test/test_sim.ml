@@ -522,15 +522,21 @@ let test_cpu_charge () =
 (* ---- Trace ---- *)
 
 let test_trace () =
-  let e = Engine.create () in
-  let tr = Trace.create e in
-  ignore (Engine.schedule_after e (Time.span_ms 1) (fun () -> Trace.record tr "one"));
-  ignore (Engine.schedule_after e (Time.span_ms 2) (fun () -> Trace.record tr "two"));
-  Engine.run e;
-  Alcotest.(check (list string)) "events in order" [ "one"; "two" ] (Trace.events tr);
-  Alcotest.(check int) "length" 2 (Trace.length tr);
-  Alcotest.(check (list int)) "timestamped" [ 1_000_000; 2_000_000 ]
-    (List.map (fun (entry : string Trace.entry) -> Time.to_ns entry.Trace.at) (Trace.entries tr))
+  let tr = Trace.create () in
+  List.iter (Trace.record tr) [ "one"; "two"; "three" ];
+  Alcotest.(check (list string)) "events in order" [ "one"; "two"; "three" ] (Trace.events tr);
+  Alcotest.(check int) "length" 3 (Trace.length tr);
+  Alcotest.(check (list string)) "fold_right is List.fold_right over events"
+    [ "one"; "two"; "three"; "end" ]
+    (Trace.fold_right (fun e acc -> e :: acc) tr [ "end" ]);
+  let into = Trace.create () in
+  Trace.record into "zero";
+  let dropped = Trace.absorb ~limit:3 ~map:String.uppercase_ascii ~into tr in
+  Alcotest.(check int) "absorb counts what the limit drops" 1 dropped;
+  Alcotest.(check (list string)) "absorb appends mapped events in order"
+    [ "zero"; "ONE"; "TWO" ] (Trace.events into);
+  Alcotest.(check (list string)) "absorb leaves the source alone" [ "one"; "two"; "three" ]
+    (Trace.events tr)
 
 let () =
   Alcotest.run "sim"
