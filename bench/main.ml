@@ -817,12 +817,9 @@ let bench_report path =
   let entries = entries @ sharded_entries in
   (* Critical-path breakdown: one short instrumented run per stack; the
      span trace attributes every nanosecond of p1's delivery latency to a
-     layer/phase or to the wire. Run well below saturation — when the
-     flow-control window gates admissions, a publish causally chains to
-     the delivery that freed its slot and the paths telescope across
-     messages; unsaturated, each path is one message's own lifetime and
-     the mean matches the measured early latency. Each task already builds
-     a private sink, so the pool needs no extra merging here. *)
+     layer/phase, to the wire or to waiting for an instance in flight.
+     Each task already builds a private sink, so the pool needs no extra
+     merging here. *)
   let timed_breakdown =
     Repro_parallel.Pool.map ~jobs
       (fun kind ->

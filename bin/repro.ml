@@ -1246,40 +1246,58 @@ let critical_path_cmd =
       & info [ "pid" ] ~docv:"P"
           ~doc:
             "Attribute deliveries observed at process $(docv) (0-based; default 0). \
-             Pass a negative value to pool all processes.")
+             Pass a negative value ($(b,--pid=-1)) to pool all processes.")
   in
   let run trace_path pid =
-    match In_channel.with_open_text trace_path In_channel.input_all with
-    | exception Sys_error e -> `Error (false, e)
-    | contents -> (
-      match Repro_obs.Jsonl.parse_lines contents with
-      | Error e -> `Error (false, Printf.sprintf "%s: %s" trace_path e)
-      | Ok lines -> (
-        let spans = Repro_obs.Jsonl.spans_of_lines lines in
-        if spans = [] then
-          `Error
-            ( false,
-              Printf.sprintf
-                "%s contains no span lines (was the run traced with --trace-out?)"
-                trace_path )
-        else
-          let pid = match pid with Some p when p >= 0 -> Some p | _ -> None in
-          match Repro_analysis.Critical_path.of_spans ?pid spans with
-          | b when b.Repro_analysis.Critical_path.deliveries = 0 ->
-            `Error (false, "no complete delivery chains in the trace")
-          | b ->
-            Fmt.pr "%a" Repro_analysis.Critical_path.pp_breakdown b;
-            Fmt.pr "@.by layer:@.";
-            List.iter
-              (fun (layer, ms) -> Fmt.pr "  %-12s %10.3f ms@." layer ms)
-              (Repro_analysis.Critical_path.by_layer b);
-            `Ok ()))
+    let module Cp = Repro_analysis.Critical_path in
+    let module Jsonl = Repro_obs.Jsonl in
+    let pid = match pid with Some p when p >= 0 -> Some p | _ -> None in
+    (* One line at a time: the trace is never held whole, only the
+       analysis's own per-sid index. *)
+    let spans = ref 0 in
+    let exception Bad_line of string in
+    let stream ic f =
+      let rec loop line =
+        match In_channel.input_line ic with
+        | None -> ()
+        | Some l when String.trim l = "" -> loop (line + 1)
+        | Some l -> (
+          match Jsonl.parse l with
+          | Error e -> raise (Bad_line (Printf.sprintf "%s: line %d: %s" trace_path line e))
+          | Ok j ->
+            Option.iter
+              (fun s ->
+                incr spans;
+                f s)
+              (Jsonl.span_of_json j);
+            loop (line + 1))
+      in
+      loop 1
+    in
+    match In_channel.with_open_text trace_path (fun ic -> Cp.of_iter ?pid (stream ic)) with
+    | exception (Sys_error e | Bad_line e) -> `Error (false, e)
+    | _ when !spans = 0 ->
+      `Error
+        ( false,
+          Printf.sprintf "%s contains no span lines (was the run traced with --trace-out?)"
+            trace_path )
+    | b when b.Cp.deliveries = 0 ->
+      `Error
+        ( false,
+          Printf.sprintf "no complete delivery chains in the trace (%d deliveries skipped)"
+            b.Cp.skipped )
+    | b ->
+      Fmt.pr "%a" Cp.pp_breakdown b;
+      Fmt.pr "@.by layer:@.";
+      List.iter (fun (layer, ms) -> Fmt.pr "  %-12s %10.3f ms@." layer ms) (Cp.by_layer b);
+      `Ok ()
   in
   Cmd.v
     (Cmd.info "critical-path"
        ~doc:
-         "Reconstruct per-delivery causal chains from a span trace and attribute \
-          end-to-end latency to protocol layer/phase and wire segments.")
+         "Reconstruct per-delivery causal chains from a span trace, each cut at its \
+          message's publish, and attribute end-to-end latency to protocol \
+          layer/phase, wire and wait segments.")
     Term.(ret (const run $ trace_arg $ pid_arg))
 
 (* ---- lint: determinism & modularity-boundary static analysis ---- *)

@@ -34,7 +34,8 @@ let bucket_index t v =
   scan 0
 
 let observe t v =
-  t.bucket_counts.(bucket_index t v) <- t.bucket_counts.(bucket_index t v) + 1;
+  let i = bucket_index t v in
+  t.bucket_counts.(i) <- t.bucket_counts.(i) + 1;
   if t.count = Array.length t.samples then begin
     let bigger = Array.make (2 * t.count) 0.0 in
     Array.blit t.samples 0 bigger 0 t.count;

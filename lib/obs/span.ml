@@ -32,29 +32,6 @@ type t = {
 let no_parent = 0
 let is_root s = s.parent = no_parent
 
-let index spans =
-  let tbl = Hashtbl.create (max 16 (2 * List.length spans)) in
-  List.iter (fun s -> Hashtbl.replace tbl s.sid s) spans;
-  tbl
-
-(* Walk the parent links from [s] to its root, oldest first. Ids are
-   assigned in causal order, so a well-formed chain has strictly
-   decreasing parents; the guard makes a corrupted trace terminate
-   instead of looping. *)
-let chain tbl s =
-  let rec up acc s =
-    if is_root s then s :: acc
-    else
-      match Hashtbl.find_opt tbl s.parent with
-      | Some p when p.sid < s.sid -> up (s :: acc) p
-      | Some _ | None -> s :: acc
-  in
-  up [] s
-
-let orphans spans =
-  let tbl = index spans in
-  List.filter (fun s -> (not (is_root s)) && not (Hashtbl.mem tbl s.parent)) spans
-
 let pp ppf s =
   Fmt.pf ppf "#%d<-#%d p%d %s/%s%s" s.sid s.parent (s.pid + 1) (layer_name s.layer)
     s.phase

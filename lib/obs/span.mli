@@ -5,9 +5,9 @@ open Repro_sim
     A span is an instantaneous, timestamped protocol step with a link to
     the step that caused it — the [parent]. Because the simulation is
     single-threaded and every event has exactly one trigger, following
-    parent links from an application delivery back to its root replays
-    the {e critical path} of that message: the one causal chain whose
-    hops sum exactly to the end-to-end latency (see
+    parent links from an application delivery back to the message's
+    publish replays the {e critical path} of that message: the one
+    causal chain whose hops sum exactly to the end-to-end latency (see
     {!Repro_analysis.Critical_path}).
 
     Spans are recorded through {!Obs.span}; an implicit "current span"
@@ -37,18 +37,6 @@ val no_parent : int
 (** The sentinel parent id (0) marking a chain root. *)
 
 val is_root : t -> bool
-
-val index : t list -> (int, t) Hashtbl.t
-(** Index a trace by [sid] for chain walks. *)
-
-val chain : (int, t) Hashtbl.t -> t -> t list
-(** The causal chain ending at the given span, root first. Stops early
-    (treating the span as a root) if a parent id is missing from the
-    index — e.g. beyond a truncated trace — or not strictly older. *)
-
-val orphans : t list -> t list
-(** Spans whose parent id is neither {!no_parent} nor present in the
-    trace. Empty on any complete (untruncated) trace. *)
 
 val pp : t Fmt.t
 (** Prints [#sid<-#parent p<pid+1> <layer>/<phase> <detail>]. *)

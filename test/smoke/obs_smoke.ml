@@ -4,7 +4,9 @@
    unparsable, and cross-checks the per-layer message counts against the
    closed forms of Analysis.Model (§5.2.1). Then pins the exported bytes:
    one run per stack must reproduce the MD5 digests committed in
-   obs_golden.txt for its stdout, trace, metrics and Chrome export.
+   obs_golden.txt for its stdout, trace, metrics and Chrome export, and
+   `repro critical-path --pid=-1` on its trace must report the
+   abcast.e2e_ms histogram's delivery count and mean.
    Wired into `dune runtest`. *)
 
 module Jsonl = Repro_obs.Jsonl
@@ -72,6 +74,31 @@ let read_golden path =
          | [ stack; output; md5 ] -> ((stack, output), md5)
          | _ -> fail "bad golden line %S" line)
 
+let histogram lines name =
+  match
+    List.find_opt
+      (fun j -> str_field "type" j = Some "histogram" && str_field "name" j = Some name)
+      lines
+  with
+  | Some j -> (
+    match Jsonl.(to_int_opt (member "count" j), to_float_opt (member "mean" j)) with
+    | Some count, Some mean -> (count, mean)
+    | _ -> fail "histogram %s lacks count or mean" name)
+  | None -> fail "no histogram %s in the metrics" name
+
+(* The critical path cuts each delivery at its own publish, so pooled
+   over all processes it covers exactly the deliveries abcast.e2e_ms
+   measured, with the same mean. *)
+let check_critical_path bin stack ~trace ~metrics =
+  let out = Filename.temp_file ("obs_cp_" ^ stack) ".txt" in
+  run_cli ~stdout:out bin [ "critical-path"; "--pid=-1"; trace ];
+  let header = List.hd (String.split_on_char '\n' (read_file out)) in
+  Sys.remove out;
+  let count, mean = histogram (parse_file "metrics" metrics) "abcast.e2e_ms" in
+  let want = Printf.sprintf "%d deliveries, mean end-to-end %.6f ms" count mean in
+  if header <> want then
+    fail "%s critical-path says %S, abcast.e2e_ms says %S" stack header want
+
 let check_golden bin golden =
   List.iter
     (fun stack ->
@@ -89,6 +116,7 @@ let check_golden bin golden =
           "--measure"; "1"; "--trace-out"; file "trace"; "--metrics-out"; file "metrics";
         ];
       run_cli bin [ "trace-export"; "--trace"; file "trace"; "--chrome-out"; file "chrome" ];
+      check_critical_path bin stack ~trace:(file "trace") ~metrics:(file "metrics");
       List.iter
         (fun (o, path) ->
           let want =
@@ -175,4 +203,5 @@ let () =
   List.iter Sys.remove [ metrics_mod; trace_mod; metrics_mono ];
   check_golden bin golden;
   print_endline
-    "obs-smoke: OK (JSONL parsable, per-layer counts match Model, golden bytes match)"
+    "obs-smoke: OK (JSONL parsable, per-layer counts match Model, golden bytes match, \
+     critical path = abcast.e2e_ms)"

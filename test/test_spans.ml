@@ -5,7 +5,9 @@
    produces a trace with no orphan parents; every application delivery
    terminates a chain rooted at an App/publish; and the critical-path
    segments telescope — their sum is exactly the measured end-to-end
-   latency, so the breakdown accounts for every nanosecond. *)
+   latency, so the breakdown accounts for every nanosecond. Under load
+   the path is cut at the message's own publish, so over a whole run the
+   critical-path mean equals the abcast.e2e_ms histogram's. *)
 
 open Repro_sim
 open Repro_core
@@ -16,6 +18,7 @@ module Cp = Repro_analysis.Critical_path
 module Br = Repro_analysis.Bench_report
 module Chrome_trace = Repro_analysis.Chrome_trace
 module Schedule = Repro_fault.Schedule
+module Experiment = Repro_workload.Experiment
 
 let stacks =
   [
@@ -40,6 +43,34 @@ let traced kind =
   ignore (run_stack ~kind ~obs);
   obs
 
+(* ---- Trace walks: a sid index and root-first chains ---- *)
+
+let index spans =
+  let tbl = Hashtbl.create (max 16 (2 * List.length spans)) in
+  List.iter (fun (s : Span.t) -> Hashtbl.replace tbl s.Span.sid s) spans;
+  tbl
+
+(* Walk the parent links from [s] to its root, oldest first. Ids are
+   assigned in causal order, so a well-formed chain has strictly
+   decreasing parents; the guard makes a corrupted trace terminate
+   instead of looping. *)
+let chain tbl (s : Span.t) =
+  let rec up acc (s : Span.t) =
+    if Span.is_root s then s :: acc
+    else
+      match Hashtbl.find_opt tbl s.Span.parent with
+      | Some (p : Span.t) when p.Span.sid < s.Span.sid -> up (s :: acc) p
+      | Some _ | None -> s :: acc
+  in
+  up [] s
+
+(* Spans whose parent is neither a root marker nor in the trace. *)
+let orphans spans =
+  let tbl = index spans in
+  List.filter
+    (fun (s : Span.t) -> (not (Span.is_root s)) && not (Hashtbl.mem tbl s.Span.parent))
+    spans
+
 (* ---- Chain integrity ---- *)
 
 let test_no_orphans (name, kind) () =
@@ -50,19 +81,19 @@ let test_no_orphans (name, kind) () =
   Alcotest.(check (list int))
     (name ^ ": no span references a missing parent")
     []
-    (List.map (fun (s : Span.t) -> s.Span.sid) (Span.orphans spans))
+    (List.map (fun (s : Span.t) -> s.Span.sid) (orphans spans))
 
 let test_complete_chains (name, kind) () =
   let obs = traced kind in
   let spans = Obs.spans obs in
-  let tbl = Span.index spans in
+  let tbl = index spans in
   let deliveries = List.filter Cp.is_delivery spans in
   (* Every message is adelivered at each of the 3 processes. *)
   Alcotest.(check int) (name ^ ": one delivery span per message per process")
     (3 * msgs) (List.length deliveries);
   List.iter
     (fun (d : Span.t) ->
-      let chain = Span.chain tbl d in
+      let chain = chain tbl d in
       let root = List.hd chain in
       Alcotest.(check bool) (name ^ ": chain rooted (no truncation)") true
         (Span.is_root root);
@@ -81,9 +112,17 @@ let test_complete_chains (name, kind) () =
              (List.tl chain)))
     deliveries
 
+(* "m 2/17 (1024 B)" and "m 2/17" name the same message. *)
+let message_id (s : Span.t) =
+  match String.split_on_char ' ' s.Span.detail with
+  | "m" :: id :: _ -> id
+  | _ -> Alcotest.failf "no message id in %a" Span.pp s
+
 let test_telescoping (name, kind) () =
   let obs = traced kind in
-  let paths = Cp.paths ~pid:0 (Obs.spans obs) in
+  let spans = Obs.spans obs in
+  let tbl = index spans in
+  let paths = Cp.paths ~pid:0 spans in
   Alcotest.(check int) (name ^ ": one path per delivery at p1") msgs
     (List.length paths);
   List.iter
@@ -91,8 +130,11 @@ let test_telescoping (name, kind) () =
       let sum = List.fold_left (fun acc (s : Cp.segment) -> acc + s.Cp.ns) 0 p.Cp.segments in
       Alcotest.(check int) (name ^ ": segments sum to end-to-end latency")
         p.Cp.total_ns sum;
-      Alcotest.(check int) (name ^ ": total is delivery - root")
-        (Time.to_ns p.Cp.delivery.Span.at - Time.to_ns p.Cp.root.Span.at)
+      let publish = Hashtbl.find tbl p.Cp.publish in
+      Alcotest.(check string) (name ^ ": cut at the message's own publish")
+        (message_id p.Cp.delivery) (message_id publish);
+      Alcotest.(check int) (name ^ ": total is delivery - publish")
+        (Time.to_ns p.Cp.delivery.Span.at - Time.to_ns publish.Span.at)
         p.Cp.total_ns)
     paths;
   (* And so does the aggregate: row totals sum to the summed latency. *)
@@ -100,6 +142,173 @@ let test_telescoping (name, kind) () =
   let row_sum = List.fold_left (fun acc (r : Cp.breakdown_row) -> acc +. r.Cp.total_ms) 0.0 b.Cp.rows in
   Alcotest.(check (float 1e-6)) (name ^ ": breakdown rows partition the total")
     b.Cp.end_to_end_ms row_sum
+
+(* ---- Cut at the publish: a hand-built trace ---- *)
+
+let span sid parent at_ns pid layer phase detail =
+  { Span.sid; parent; at = Time.of_ns at_ns; pid; layer; phase; detail }
+
+(* m 1/0's publish is parented to earlier work (sid 1), which its path
+   must not include. m 1/1 is published while instance 0 is in flight
+   and rides instance 1, proposed by instance 0's decision (sid 5): its
+   chain straddles its publish between sids 3 (1500 ns) and 5 (4000
+   ns), so the walk ends with [wait] = 4000 - 2000. m 2/5 has no
+   publish and is skipped. *)
+let synthetic =
+  [
+    span 1 0 500 0 `Consensus "decide" "i-1";
+    span 2 1 1000 0 `App "publish" "m 1/0 (8 B)";
+    span 3 2 1500 0 `Consensus "propose" "i0";
+    span 4 0 2000 0 `App "publish" "m 1/1 (8 B)";
+    span 5 3 4000 1 `Consensus "decide" "i0";
+    span 6 5 4500 1 `App "adeliver" "m 1/0";
+    span 7 5 5000 1 `Consensus "propose" "i1";
+    span 8 7 7000 1 `Consensus "decide" "i1";
+    span 9 8 7200 1 `App "adeliver" "m 1/1";
+    span 10 8 7300 1 `App "adeliver" "m 2/5";
+  ]
+
+let segments (p : Cp.path) =
+  List.map (fun (s : Cp.segment) -> (s.Cp.label, s.Cp.ns)) p.Cp.segments
+
+let row_strings (b : Cp.breakdown) =
+  List.map
+    (fun (r : Cp.breakdown_row) ->
+      Printf.sprintf "%s %s %d %h %h %h" r.Cp.row_label r.Cp.row_layer r.Cp.hops
+        r.Cp.total_ms r.Cp.mean_ms r.Cp.share)
+    b.Cp.rows
+
+let test_synthetic_cut () =
+  let seg = Alcotest.(list (pair string int)) in
+  (match Cp.paths synthetic with
+  | [ a; b ] ->
+    Alcotest.(check int) "m 1/0 ends at its own publish" 2 a.Cp.publish;
+    Alcotest.check seg "m 1/0 hops after its publish only"
+      [ ("consensus/propose", 500); ("wire", 2500); ("app/adeliver", 500) ]
+      (segments a);
+    Alcotest.(check int) "m 1/1 is cut at its publish" 4 b.Cp.publish;
+    Alcotest.check seg "the straddling hop is wait"
+      [ ("wait", 2000); ("consensus/propose", 1000); ("consensus/decide", 2000);
+        ("app/adeliver", 200) ]
+      (segments b);
+    Alcotest.(check int) "total is delivery - publish" 5200 b.Cp.total_ns
+  | ps -> Alcotest.failf "expected 2 paths, got %d" (List.length ps));
+  let b = Cp.of_spans synthetic in
+  Alcotest.(check int) "two deliveries" 2 b.Cp.deliveries;
+  Alcotest.(check int) "the publishless one skipped" 1 b.Cp.skipped;
+  Alcotest.(check (float 0.)) "summed latency" 0.0087 b.Cp.end_to_end_ms;
+  Alcotest.(check (list (pair string (float 0.))))
+    "rows"
+    [
+      ("wire", 0.0025); ("consensus/decide", 0.002); ("wait", 0.002);
+      ("consensus/propose", 0.0015); ("app/adeliver", 0.0007);
+    ]
+    (List.map (fun (r : Cp.breakdown_row) -> (r.Cp.row_label, r.Cp.total_ms)) b.Cp.rows);
+  Alcotest.(check (list string)) "streamed rows equal the path-list rows"
+    (row_strings (Cp.breakdown (Cp.paths synthetic)))
+    (row_strings b);
+  Alcotest.(check int) "no delivery at p1" 0 (Cp.of_spans ~pid:0 synthetic).Cp.deliveries
+
+(* ---- The gate: critical path = measured latency, at any load ---- *)
+
+let run_traced ~kind ~n ~load ~arrival =
+  let obs = Obs.create () in
+  ignore
+    (Experiment.run ~obs
+       (Experiment.config ~kind ~n ~offered_load:load ~size:1024 ~warmup_s:0.05
+          ~measure_s:0.15 ~seed:1 ~arrival ()));
+  obs
+
+let test_gate (name, kind) () =
+  List.iter
+    (fun (n, load) ->
+      let what = Printf.sprintf "%s n=%d %g/s" name n load in
+      let obs = run_traced ~kind ~n ~load ~arrival:Repro_workload.Generator.Poisson in
+      let e2e =
+        match Obs.histogram_summary obs "abcast.e2e_ms" with
+        | Some s -> s
+        | None -> Alcotest.failf "%s: no abcast.e2e_ms histogram" what
+      in
+      let b = Cp.of_spans (Obs.spans obs) in
+      Alcotest.(check int) (what ^ ": nothing skipped") 0 b.Cp.skipped;
+      Alcotest.(check int) (what ^ ": one path per measured delivery")
+        e2e.Repro_obs.Stats.count b.Cp.deliveries;
+      let want = e2e.Repro_obs.Stats.mean in
+      if Float.abs (b.Cp.mean_end_to_end_ms -. want) > 1e-9 *. want then
+        Alcotest.failf "%s: critical-path mean %.9f ms, measured %.9f ms" what
+          b.Cp.mean_end_to_end_ms want;
+      let rows_ms = List.fold_left (fun a (r : Cp.breakdown_row) -> a +. r.Cp.total_ms) 0. b.Cp.rows in
+      if Float.abs (rows_ms -. b.Cp.end_to_end_ms) > 1e-9 *. b.Cp.end_to_end_ms then
+        Alcotest.failf "%s: rows sum to %.9f ms, paths to %.9f ms" what rows_ms
+          b.Cp.end_to_end_ms;
+      List.iter
+        (fun (r : Cp.breakdown_row) ->
+          if r.Cp.total_ms < 0. then
+            Alcotest.failf "%s: %s row is negative (%.6f ms)" what r.Cp.row_label r.Cp.total_ms)
+        b.Cp.rows)
+    [ (3, 500.); (3, 1000.); (3, 2000.); (7, 500.); (7, 1000.); (7, 2000.) ]
+
+(* ---- Oracle: the uncut walk agrees where chains end at their publish ---- *)
+
+(* The previous algorithm: each delivery's whole single-parent chain,
+   root to delivery, aggregated by hop label. Below saturation the root
+   of every chain is the message's own publish, so the cut changes
+   nothing there. *)
+let uncut_rows ~pid spans =
+  let tbl = index spans in
+  let totals = Hashtbl.create 32 in
+  let paths = ref 0 and sum_ns = ref 0 in
+  List.iter
+    (fun (d : Span.t) ->
+      if Cp.is_delivery d && d.Span.pid = pid then begin
+        let c = chain tbl d in
+        incr paths;
+        sum_ns := !sum_ns + Time.to_ns d.Span.at - Time.to_ns (List.hd c).Span.at;
+        ignore
+          (List.fold_left
+             (fun (parent : Span.t) (child : Span.t) ->
+               let label, layer =
+                 if child.Span.pid <> parent.Span.pid then ("wire", "wire")
+                 else
+                   let layer = Span.layer_name child.Span.layer in
+                   (layer ^ "/" ^ child.Span.phase, layer)
+               in
+               let hops, ns =
+                 Option.value ~default:(0, 0) (Option.map fst (Hashtbl.find_opt totals label))
+               in
+               Hashtbl.replace totals label
+                 ((hops + 1, ns + Time.to_ns child.Span.at - Time.to_ns parent.Span.at), layer);
+               child)
+             (List.hd c) (List.tl c))
+      end)
+    spans;
+  let ms ns = float_of_int ns /. 1e6 in
+  Hashtbl.fold
+    (fun label ((hops, ns), layer) acc ->
+      {
+        Cp.row_label = label;
+        row_layer = layer;
+        hops;
+        total_ms = ms ns;
+        mean_ms = ms ns /. float_of_int !paths;
+        share = float_of_int ns /. float_of_int !sum_ns;
+      }
+      :: acc)
+    totals []
+  |> List.sort (fun (a : Cp.breakdown_row) (b : Cp.breakdown_row) ->
+         match compare b.Cp.total_ms a.Cp.total_ms with
+         | 0 -> compare a.Cp.row_label b.Cp.row_label
+         | c -> c)
+
+let test_oracle (name, kind) () =
+  (* bench's breakdown point: n=3, 500/s, uniform arrivals, pid 0. *)
+  let obs = run_traced ~kind ~n:3 ~load:500. ~arrival:Repro_workload.Generator.Uniform in
+  let spans = Obs.spans obs in
+  let b = Cp.of_spans ~pid:0 spans in
+  Alcotest.(check bool) (name ^ ": deliveries analysed") true (b.Cp.deliveries > 0);
+  Alcotest.(check (list string)) (name ^ ": rows equal the uncut walk's")
+    (row_strings { b with Cp.rows = uncut_rows ~pid:0 spans })
+    (row_strings b)
 
 (* ---- Instrumentation does not perturb the run ---- *)
 
@@ -128,9 +337,9 @@ let test_spans_do_not_perturb (name, kind) () =
 
 (* Sids on the causal chain of any application delivery. *)
 let delivery_ancestors spans =
-  let tbl = Span.index spans in
+  let tbl = index spans in
   List.concat_map
-    (fun d -> List.map (fun (s : Span.t) -> s.Span.sid) (Span.chain tbl d))
+    (fun d -> List.map (fun (s : Span.t) -> s.Span.sid) (chain tbl d))
     (List.filter Cp.is_delivery spans)
 
 let check_off_delivery_chains what spans ends =
@@ -177,7 +386,7 @@ let test_checksum_drop_spans () =
   done;
   ignore (Group.run_until_quiescent group ~limit:(Time.span_s 2) ());
   let spans = Obs.spans obs in
-  let tbl = Span.index spans in
+  let tbl = index spans in
   let drops =
     List.filter
       (fun (s : Span.t) ->
@@ -266,7 +475,7 @@ let test_span_cap_and_drop_counter () =
   (* Sids keep advancing past the cap, so the retained prefix stays
      globally consistent: parents of retained spans are retained. *)
   Alcotest.(check (list int)) "truncated trace has no orphans" []
-    (List.map (fun (s : Span.t) -> s.Span.sid) (Span.orphans (Obs.spans obs)));
+    (List.map (fun (s : Span.t) -> s.Span.sid) (orphans (Obs.spans obs)));
   let lines = Jsonl.span_lines obs in
   Alcotest.(check int) "cap lines + truncation marker" 26 (List.length lines);
   match Jsonl.parse (List.nth lines 25) with
@@ -372,6 +581,9 @@ let () =
       per_stack "no orphans" test_no_orphans;
       per_stack "complete chains" test_complete_chains;
       per_stack "telescoping" test_telescoping;
+      ("cut at publish", [ Alcotest.test_case "synthetic trace" `Quick test_synthetic_cut ]);
+      per_stack "critical path = e2e histogram" test_gate;
+      per_stack "uncut oracle at 500/s" test_oracle;
       per_stack "non-perturbation" test_spans_do_not_perturb;
       ( "chain ends",
         [
