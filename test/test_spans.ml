@@ -582,8 +582,8 @@ let () =
       per_stack "complete chains" test_complete_chains;
       per_stack "telescoping" test_telescoping;
       ("cut at publish", [ Alcotest.test_case "synthetic trace" `Quick test_synthetic_cut ]);
-      per_stack "critical path = e2e histogram" test_gate;
-      per_stack "uncut oracle at 500/s" test_oracle;
+      per_stack "path = e2e mean" test_gate;
+      per_stack "uncut oracle" test_oracle;
       per_stack "non-perturbation" test_spans_do_not_perturb;
       ( "chain ends",
         [
