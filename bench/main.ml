@@ -14,6 +14,7 @@
 
 open Repro_core
 open Repro_workload
+module Stats = Repro_obs.Stats
 
 let quick = Array.exists (fun a -> a = "--quick") Sys.argv
 let warmup_s = if quick then 0.5 else 1.0
@@ -316,28 +317,6 @@ let table_data () =
 
 let ablation_mono () =
   let base = Params.default ~n:3 in
-  let variants =
-    [
-      ("all on (paper §4)", base.Params.mono);
-      ( "no §4.1 combine",
-        { base.Params.mono with Params.combine_proposal_decision = false } );
-      ("no §4.2 piggyback", { base.Params.mono with Params.piggyback_on_ack = false });
-      ("no §4.3 cheap decision", { base.Params.mono with Params.cheap_decision = false });
-      (* §4.3 only bites when decisions go standalone, i.e. §4.1 is off. *)
-      ( "no §4.1, no §4.3",
-        {
-          base.Params.mono with
-          Params.combine_proposal_decision = false;
-          cheap_decision = false;
-        } );
-      ( "all off",
-        {
-          Params.combine_proposal_decision = false;
-          piggyback_on_ack = false;
-          cheap_decision = false;
-        } );
-    ]
-  in
   let results =
     map_points
       (fun ~obs (name, mono) ->
@@ -345,7 +324,7 @@ let ablation_mono () =
         ( name,
           run_point ~obs ~params ~kind:Replica.Monolithic ~n:3 ~load:3000.0 ~size:8192
             () ))
-      variants
+      Params.mono_ablations
   in
   section "Ablation A1: contribution of each monolithic optimization (n=3, 8 KiB)";
   List.iter
@@ -749,7 +728,7 @@ let bench_report path =
                 ~unit_:"ms" ~higher_is_better:false
                 (List.map
                    (fun (r : Experiment.result) ->
-                     r.early_latency_ms.Repro_workload.Stats.mean)
+                     r.early_latency_ms.Stats.mean)
                    runs);
               Repro_analysis.Bench_report.entry ~name:(name "throughput")
                 ~unit_:"msgs/s" ~higher_is_better:true
@@ -804,7 +783,7 @@ let bench_report path =
             ~unit_:"ms" ~higher_is_better:false
             (List.map
                (fun (r : Repro_shard.Shard.result) ->
-                 r.latency_ms.Repro_workload.Stats.mean)
+                 r.latency_ms.Stats.mean)
                runs);
           Repro_analysis.Bench_report.entry ~name:(name "throughput")
             ~unit_:"req/s" ~higher_is_better:true

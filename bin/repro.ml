@@ -5,6 +5,7 @@
 open Cmdliner
 open Repro_core
 open Repro_workload
+module Stats = Repro_obs.Stats
 
 (* ---- Shared options ---- *)
 
@@ -355,21 +356,6 @@ let tables_cmd =
 let ablation_cmd =
   let run warmup measure seed csv =
     let base = Params.default ~n:3 in
-    let variants =
-      [
-        ("all-on (paper)", base.Params.mono);
-        ( "no §4.1 combine",
-          { base.Params.mono with Params.combine_proposal_decision = false } );
-        ("no §4.2 piggyback", { base.Params.mono with Params.piggyback_on_ack = false });
-        ("no §4.3 cheap-decision", { base.Params.mono with Params.cheap_decision = false });
-        ( "all-off",
-          {
-            Params.combine_proposal_decision = false;
-            piggyback_on_ack = false;
-            cheap_decision = false;
-          } );
-      ]
-    in
     if csv then
       print_endline
         "variant,latency_ms,throughput,msgs_per_instance,bytes_per_instance";
@@ -389,7 +375,7 @@ let ablation_cmd =
           Fmt.pr "%-24s | lat %7.3f ms | tput %7.1f/s | msgs/inst %5.2f | bytes/inst %8.0f@."
             name r.Experiment.early_latency_ms.Stats.mean r.Experiment.throughput
             r.Experiment.msgs_per_instance r.Experiment.bytes_per_instance)
-      variants
+      Params.mono_ablations
   in
   Cmd.v
     (Cmd.info "ablation"
@@ -1471,29 +1457,6 @@ let lint_cmd =
         (const run $ build_root_arg $ src_arg $ spec_arg $ no_boundaries_arg
        $ waivers_arg $ dot_arg $ json_arg $ source_root_arg $ allow_stale_arg))
 
-(* ---- all ---- *)
-
-let all_cmd =
-  let run warmup measure seed csv =
-    List.iter
-      (fun fig ->
-        Fmt.pr "@.== Figure %d ==@." fig;
-        let results =
-          match fig with
-          | 8 | 10 ->
-            sweep ~kinds:both_kinds ~ns:both_ns ~loads:paper_loads ~sizes:[ 16384 ]
-              ~warmup ~measure ~seed
-          | _ ->
-            sweep ~kinds:both_kinds ~ns:both_ns ~loads:[ 2000.0 ] ~sizes:paper_sizes
-              ~warmup ~measure ~seed
-        in
-        emit ~csv results)
-      [ 8; 9; 10; 11 ]
-  in
-  Cmd.v
-    (Cmd.info "all" ~doc:"Regenerate every figure of the paper in one go.")
-    Term.(const run $ warmup_arg $ measure_arg $ seed_arg $ csv_arg)
-
 let main_cmd =
   let doc =
     "Reproduction of 'On the Cost of Modularity in Atomic Broadcast' (DSN 2007): \
@@ -1524,7 +1487,6 @@ let main_cmd =
       `I ("$(b,compare)", "regression gate over two bench --json-out reports.");
       `I ("$(b,critical-path)", "per-delivery latency attribution from a span trace.");
       `I ("$(b,lint)", "determinism & modularity-boundary static analysis (.cmt based).");
-      `I ("$(b,all)", "regenerate every figure of the paper in one go.");
     ]
   in
   Cmd.group
@@ -1546,7 +1508,6 @@ let main_cmd =
       compare_cmd;
       critical_path_cmd;
       lint_cmd;
-      all_cmd;
     ]
 
 let () = exit (Cmd.eval main_cmd)

@@ -6,6 +6,7 @@
 
 open Repro_core
 open Repro_workload
+module Stats = Repro_obs.Stats
 
 let () =
   let n = 3 and size = 8192 and load = 3000.0 in

@@ -232,11 +232,6 @@ let on_decide t ~inst batch =
 let next_instance t = t.next_decide
 let delivered_count t = t.delivered_count
 
-let blocked_on_payloads t =
-  match Hashtbl.find_opt t.decisions t.next_decide with
-  | Some batch -> List.length (missing_payloads t batch)
-  | None -> 0
-
 (* ---- Snapshot ---- *)
 
 module Snap = Repro_sim.Snapshot

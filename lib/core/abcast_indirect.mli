@@ -61,10 +61,6 @@ val on_decide : t -> inst:int -> Batch.t -> unit
 val next_instance : t -> int
 val delivered_count : t -> int
 
-val blocked_on_payloads : t -> int
-(** Identifiers named by the next pending decision whose payloads are
-    still missing (diagnostics; 0 in good runs at quiescence). *)
-
 val snapshot : ?name:string -> t -> Repro_sim.Snapshot.section
 (** Default section name ["core.abcast_indirect.p<me>"]. Carries known
     payloads, delivered/pending/ordered identity sets, decision cursor and

@@ -136,7 +136,6 @@ let on_decide t ~inst batch =
 
 let next_instance t = t.next_decide
 let delivered_count t = t.delivered_count
-let pending_count t = Batch.size t.pending
 
 (* ---- Snapshot ---- *)
 

@@ -55,9 +55,6 @@ val next_instance : t -> int
 val delivered_count : t -> int
 (** Total messages adelivered. *)
 
-val pending_count : t -> int
-(** Messages known but not yet ordered (diagnostics). *)
-
 val snapshot : ?name:string -> t -> Repro_sim.Snapshot.section
 (** Default section name ["core.abcast_modular.p<me>"]. Carries the
     pending pool, delivered-identity set, decision cursor and buffered

@@ -70,8 +70,9 @@ val on_delivery : t -> (Pid.t -> App_msg.t -> unit) -> unit
 val on_tamper : t -> (Pid.t -> detected:bool -> unit) -> unit
 (** Register an observer of every adversary-tampered copy reaching a
     replica: the pid of the receiver and whether checksums detected (and
-    discarded) the copy or it was processed as genuine. Only fires when a
-    message adversary with a nonzero corrupt rate is armed. *)
+    discarded) the copy; receivers always verify, so [detected] is
+    [true]. Only fires when a message adversary with a nonzero corrupt
+    rate is armed. *)
 
 val stats : t -> Net_stats.t
 (** Live wire-traffic counters of the group's network. *)

@@ -73,21 +73,17 @@ type t = {
           coordinator. Never fires in good runs. *)
   batch_cap : int;  (** Upper bound on messages per consensus proposal. *)
   transport : transport;  (** How replicas reach each other. *)
-  checksums : bool;
-      (** Verify payload integrity on receipt (on by default, as TCP's
-          checksums were for the paper's stacks): a {!Wire_msg.Tampered}
-          copy injected by the message adversary is detected and
-          discarded — under [Lossy] transport the {!Repro_net.Rchannel}
-          retransmission then recovers it, so corruption degrades to
-          loss. With checksums off, tampered copies are processed as if
-          genuine (silent corruption; the {!Repro_fault} monitor's
-          integrity/agreement invariants are the only net). *)
   modular : modular_opts;
   mono : mono_opts;
 }
 
 val default : n:int -> t
 (** The paper's configuration for a group of [n] processes, seed 0. *)
+
+val mono_ablations : (string * mono_opts) list
+(** Ablation A1's named variants of the monolithic optimizations: all on
+    (the default), each of §4.1–§4.3 off alone, §4.1 and §4.3 off
+    together, and all off. *)
 
 val coordinator : t -> round:int -> Pid.t
 (** The rotating coordinator: process [(round - 1) mod n]. Round 1 always

@@ -8,9 +8,7 @@ type kind = Modular | Monolithic | Indirect
 
 type fd_mode =
   [ `Good_run
-  | `Heartbeat of Heartbeat_fd.config
-  | `Chen of Chen_fd.config
-  | `Oracle of Oracle_fd.t ]
+  | `Heartbeat of Heartbeat_fd.config ]
 
 (* The consensus service as mounted in the modular stack: either the
    optimized or the classical Chandra-Toueg variant, behind one face. *)
@@ -61,7 +59,6 @@ type t = {
   on_adeliver : App_msg.t -> unit;
   obs : Obs.t;
   mutable heartbeat : Heartbeat_fd.t option;
-  mutable chen : Chen_fd.t option;
   mutable rchannel : Msg.t Rchannel.t option;
   mutable crashed : bool;
   mutable impl : stack_impl option; (* set once at the end of [create] *)
@@ -147,7 +144,6 @@ let crash t =
   t.crashed <- true;
   Queue.clear t.offers;
   (match t.heartbeat with Some hb -> Heartbeat_fd.stop hb | None -> ());
-  (match t.chen with Some cd -> Chen_fd.stop cd | None -> ());
   (match t.rchannel with Some ch -> Rchannel.halt ch | None -> ());
   Network.crash t.net t.me
 
@@ -175,7 +171,6 @@ let create ~kind ~params ~net ~me ?(fd_mode = `Good_run) ?(record_deliveries = t
       on_adeliver;
       obs;
       heartbeat = None;
-      chen = None;
       rchannel = None;
       crashed = false;
       impl = None;
@@ -211,7 +206,6 @@ let create ~kind ~params ~net ~me ?(fd_mode = `Good_run) ?(record_deliveries = t
   let fd =
     match fd_mode with
     | `Good_run -> Fd.never_suspects
-    | `Oracle oracle -> Oracle_fd.fd oracle
     | `Heartbeat config ->
       (* Heartbeats bypass the reliable channel: a retransmitted stale
          heartbeat carries no information, and detectors are loss-tolerant
@@ -225,16 +219,6 @@ let create ~kind ~params ~net ~me ?(fd_mode = `Good_run) ?(record_deliveries = t
       in
       t.heartbeat <- Some hb;
       Heartbeat_fd.fd hb
-    | `Chen config ->
-      let raw_heartbeat ~dst =
-        Network.send net ~src:me ~dst (Wire_msg.Plain Msg.Heartbeat)
-      in
-      let cd =
-        Chen_fd.create (engine t) config ~n:params.Params.n ~me
-          ~send_heartbeat:raw_heartbeat
-      in
-      t.chen <- Some cd;
-      Chen_fd.fd cd
   in
   let bus = Stack.bus stack in
   (* The consensus module of a composed stack, in the configured variant. *)
@@ -403,10 +387,7 @@ let create ~kind ~params ~net ~me ?(fd_mode = `Good_run) ?(record_deliveries = t
     if not t.crashed then
       match msg with
       | Msg.Heartbeat -> begin
-        match (t.heartbeat, t.chen) with
-        | Some hb, _ -> Heartbeat_fd.on_heartbeat hb ~src
-        | None, Some cd -> Chen_fd.on_heartbeat cd ~src
-        | None, None -> ()
+        match t.heartbeat with Some hb -> Heartbeat_fd.on_heartbeat hb ~src | None -> ()
       end
       | _ -> begin
         match impl with
@@ -443,13 +424,11 @@ let create ~kind ~params ~net ~me ?(fd_mode = `Good_run) ?(record_deliveries = t
   in
   deliver_ref := demux;
   (* A [Tampered] envelope is the message adversary's in-flight payload
-     flip. Checksums on (the default): the receiver detects the mismatch
-     and discards the copy — under lossy transport the reliable channel's
-     retransmission recovers it, so corruption degrades to loss. Checksums
-     off: the inner message is processed as if genuine. Either way the
-     tamper observer fires so the invariant monitor can count
-     detected-vs-silent corruption. *)
-  let rec handle_wire ~src wire =
+     flip. The receiver's checksum detects the mismatch and discards the
+     copy — under lossy transport the reliable channel's retransmission
+     recovers it, so corruption degrades to loss. The tamper observer
+     fires so the invariant monitor can count detected corruption. *)
+  let handle_wire ~src wire =
     match wire with
     | Wire_msg.Plain msg -> demux ~src msg
     | Wire_msg.Frame frame -> begin
@@ -458,20 +437,14 @@ let create ~kind ~params ~net ~me ?(fd_mode = `Good_run) ?(record_deliveries = t
       | None -> ()
     end
     | Wire_msg.Tampered inner ->
-      if params.Params.checksums then begin
-        if Obs.enabled t.obs then Obs.incr t.obs "net.corrupt_detected";
-        (* Parented to the ambient [rx] span of the tampered copy; the
-           copy goes no further, so the span ends its chain. *)
-        if Obs.tracing t.obs then
-          ignore
-            (Obs.span t.obs ~pid:t.me ~layer:(Wire_msg.layer inner) ~phase:"drop"
-               ~detail:("checksum: " ^ Wire_msg.kind inner) ());
-        on_tamper ~detected:true
-      end
-      else begin
-        on_tamper ~detected:false;
-        handle_wire ~src inner
-      end
+      if Obs.enabled t.obs then Obs.incr t.obs "net.corrupt_detected";
+      (* Parented to the ambient [rx] span of the tampered copy; the copy
+         goes no further, so the span ends its chain. *)
+      if Obs.tracing t.obs then
+        ignore
+          (Obs.span t.obs ~pid:t.me ~layer:(Wire_msg.layer inner) ~phase:"drop"
+             ~detail:("checksum: " ^ Wire_msg.kind inner) ());
+      on_tamper ~detected:true
   in
   Network.register net me (fun ~src wire ->
       if not t.crashed then handle_wire ~src wire);
@@ -550,10 +523,7 @@ let sections t =
   let rchannel =
     match t.rchannel with Some ch -> [ Rchannel.snapshot ch ] | None -> []
   in
-  let fd =
-    (match t.heartbeat with Some hb -> [ Heartbeat_fd.snapshot hb ] | None -> [])
-    @ match t.chen with Some cd -> [ Chen_fd.snapshot cd ] | None -> []
-  in
+  let fd = match t.heartbeat with Some hb -> [ Heartbeat_fd.snapshot hb ] | None -> [] in
   let bus =
     Event_bus.snapshot ~name:(Printf.sprintf "framework.bus.p%d" p) (Stack.bus t.stack)
   in
@@ -586,9 +556,6 @@ let restore_sections t sections =
   | None -> ());
   (match t.heartbeat with
   | Some hb -> req (Printf.sprintf "fd.heartbeat.p%d" p) (Heartbeat_fd.restore hb)
-  | None -> ());
-  (match t.chen with
-  | Some cd -> req (Printf.sprintf "fd.chen.p%d" p) (Chen_fd.restore cd)
   | None -> ());
   opt
     (Printf.sprintf "framework.bus.p%d" p)

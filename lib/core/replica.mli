@@ -25,9 +25,7 @@ type fd_mode =
   [ `Good_run  (** No failure detection at all: no heartbeats, no
                    suspicions. The benchmark setting (§5.1 measures good
                    runs only). *)
-  | `Heartbeat of Heartbeat_fd.config  (** Live ◇P detection. *)
-  | `Chen of Chen_fd.config  (** Adaptive arrival-prediction detection. *)
-  | `Oracle of Oracle_fd.t  (** Test-scripted suspicions. *) ]
+  | `Heartbeat of Heartbeat_fd.config  (** Live ◇P detection. *) ]
 
 type t
 
@@ -47,9 +45,9 @@ val create :
     [record_deliveries] (default [true]) keeps the full in-order delivery
     log in memory for assertions. [on_adeliver] observes every adelivered
     message (after internal bookkeeping). [on_tamper] (default: ignore)
-    observes every {!Wire_msg.Tampered} copy that reaches this replica,
-    with [detected] telling whether checksums caught it (the copy was
-    discarded) or it was processed as genuine ({!Params.checksums} off).
+    observes every {!Wire_msg.Tampered} copy that reaches this replica;
+    the receiver's checksum always catches it and discards the copy, so
+    [detected] is [true].
 
     [obs] (default: no-op) is handed to every mounted protocol module (see
     their [create] docs for the metric names) and additionally records an

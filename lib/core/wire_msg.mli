@@ -12,11 +12,9 @@ open Repro_net
 
     [Tampered] is the message adversary's corruption envelope: a copy
     mutated in flight. It models a flipped payload whose framing is still
-    parseable — receivers with checksums on ({!Params.checksums}, the
-    default) detect the tamper and discard the copy; receivers with
-    checksums off unwrap and process the inner message as if genuine
-    (silent corruption). Size passes through unchanged (the flip does not
-    change the length). *)
+    parseable — the receiver's checksum detects the tamper and discards
+    the copy. Size passes through unchanged (the flip does not change the
+    length). *)
 
 type t =
   | Plain of Msg.t

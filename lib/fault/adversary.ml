@@ -9,9 +9,9 @@ open Repro_core
 
 (* Corruption: flip one small field — the identity bit of an application
    message, the instance/round/timestamp of a protocol message — modelling
-   a bit flip that leaves the framing parseable. With checksums off these
-   mutants are processed as genuine, which is exactly what the monitor's
-   integrity/agreement invariants exist to catch. *)
+   a bit flip that leaves the framing parseable. Receiver checksums
+   discard these mutants; one processed as genuine is exactly what the
+   monitor's integrity/agreement invariants exist to catch. *)
 
 let flip_app (m : App_msg.t) =
   { m with App_msg.id = { m.App_msg.id with App_msg.seq = m.App_msg.id.App_msg.seq lxor 1 } }

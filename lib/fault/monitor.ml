@@ -131,7 +131,7 @@ let note_tamper t p ~detected =
   if detected then t.tampered_detected <- t.tampered_detected + 1
   else begin
     t.tampered_silent <- t.tampered_silent + 1;
-    violate t Corruption p "tampered copy processed as genuine (checksums off)"
+    violate t Corruption p "tampered copy processed as genuine"
   end
 
 let tampered_detected t = t.tampered_detected
@@ -225,13 +225,6 @@ let log t p = List.rev t.rev_logs.(p)
 let pp_violation ppf v =
   Fmt.pf ppf "%s violated at %a by %a: %s" (invariant_name v.invariant) Time.pp
     v.at Pid.pp v.at_process v.detail
-
-let pp_report ppf t =
-  match first_violation t with
-  | None -> Fmt.string ppf "no violations"
-  | Some v ->
-    Fmt.pf ppf "%a@ (seed %d, schedule: %a)" pp_violation v t.seed Schedule.pp
-      t.schedule
 
 (* ---- Snapshot ---- *)
 

@@ -16,8 +16,8 @@ open Repro_core
     Under an armed message adversary two more online checks apply:
 
     - {b corruption detection} — every tampered copy the adversary
-      injected must be caught by checksums; one processed as genuine
-      (checksums off) is a silent-corruption violation ({!note_tamper});
+      injected must be caught by checksums; one processed as genuine is
+      a silent-corruption violation ({!note_tamper});
     - {b equivocation agreement} — every process adelivering an identity
       must see the same content fingerprint as the first process that
       did ({!observe}'s [fingerprint]).
@@ -127,10 +127,6 @@ val log : t -> Pid.t -> App_msg.id list
 
 val pp_violation : violation Fmt.t
 (** One line: invariant, process, virtual time, detail. *)
-
-val pp_report : t Fmt.t
-(** The first violation plus the reproduction context (seed and
-    schedule); ["no violations"] when clean. *)
 
 val snapshot : ?name:string -> t -> Repro_sim.Snapshot.section
 (** Default section name ["fault.monitor"]. The ["violations"] count field

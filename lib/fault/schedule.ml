@@ -63,7 +63,6 @@ let action_to_string = function
 
 let step_to_string s = Printf.sprintf "at %s %s" (span_to_string s.at) (action_to_string s.action)
 let to_string t = String.concat "\n" (List.map step_to_string t) ^ if t = [] then "" else "\n"
-let pp_action ppf a = Fmt.string ppf (action_to_string a)
 let pp_step ppf s = Fmt.string ppf (step_to_string s)
 let pp ppf t = Fmt.(list ~sep:(any "; ") pp_step) ppf t
 

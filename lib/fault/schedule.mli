@@ -118,7 +118,6 @@ val is_subsequence : t -> of_:t -> bool
     second — the shrinker's contract. *)
 
 val action_to_string : action -> string
-val pp_action : action Fmt.t
 val pp_step : step Fmt.t
 val pp : t Fmt.t
 

@@ -2,6 +2,7 @@ open Repro_sim
 open Repro_net
 open Repro_core
 open Repro_workload
+module Stats = Repro_obs.Stats
 module Obs = Repro_obs.Obs
 module Jsonl = Repro_obs.Jsonl
 

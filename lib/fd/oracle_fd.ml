@@ -20,27 +20,3 @@ let suspect t p =
 
 let restore t p = t.suspected <- List.filter (fun q -> q <> p) t.suspected
 let suspects t = List.sort Pid.compare t.suspected
-
-(* ---- Snapshot ---- *)
-
-module Snap = Repro_sim.Snapshot
-
-let snapshot ?(name = "fd.oracle") t =
-  Snap.make ~name ~version:1
-    [
-      ( "suspected",
-        Snap.List (List.map (fun p -> Snap.Int (p : Pid.t :> int)) (suspects t)) );
-    ]
-
-let restore_snapshot ?(name = "fd.oracle") t s =
-  Snap.check s ~name ~version:1;
-  match Snap.find s "suspected" with
-  | Snap.List pids ->
-    t.suspected <-
-      List.rev_map
-        (function
-          | Snap.Int p -> (p : Pid.t)
-          | _ -> raise (Snap.Codec_error (name ^ ": suspected entries must be ints")))
-        pids
-  | _ -> raise (Snap.Codec_error (name ^ ": suspected must be a list"))
-(* Suspicion listeners ride the world blob. *)

@@ -21,10 +21,3 @@ val restore : t -> Pid.t -> unit
 
 val suspects : t -> Pid.t list
 (** Current suspect list, ascending. *)
-
-val snapshot : ?name:string -> t -> Repro_sim.Snapshot.section
-(** Default section name ["fd.oracle"]: the sorted suspect list. *)
-
-val restore_snapshot : ?name:string -> t -> Repro_sim.Snapshot.section -> unit
-(** Named to leave [restore] (un-suspect a process) untouched.
-    @raise Repro_sim.Snapshot.Codec_error on mismatch. *)

@@ -26,15 +26,14 @@ let create ?(edges = default_edges) () =
     count = 0;
   }
 
-let bucket_index t v =
-  (* First bucket whose upper edge admits v; the trailing slot catches
-     everything past the last edge. *)
-  let n = Array.length t.edges in
-  let rec scan i = if i >= n || v <= t.edges.(i) then i else scan (i + 1) in
-  scan 0
+(* First bucket whose upper edge admits v; the trailing slot catches
+   everything past the last edge. Top-level, so [observe] allocates no
+   closure. *)
+let rec bucket_index edges v i =
+  if i >= Array.length edges || v <= edges.(i) then i else bucket_index edges v (i + 1)
 
 let observe t v =
-  let i = bucket_index t v in
+  let i = bucket_index t.edges v 0 in
   t.bucket_counts.(i) <- t.bucket_counts.(i) + 1;
   if t.count = Array.length t.samples then begin
     let bigger = Array.make (2 * t.count) 0.0 in

@@ -237,18 +237,16 @@ let parse s =
   | Failure msg -> Error msg
 
 let parse_lines text =
-  let lines =
-    String.split_on_char '\n' text
-    |> List.filter (fun l -> String.trim l <> "")
-  in
+  (* [i] is the 1-based position in [text], blank lines included. *)
   let rec loop acc i = function
     | [] -> Ok (List.rev acc)
+    | l :: rest when String.trim l = "" -> loop acc (i + 1) rest
     | l :: rest -> (
       match parse l with
       | Ok v -> loop (v :: acc) (i + 1) rest
-      | Error e -> Error (Printf.sprintf "line %d: %s" (i + 1) e))
+      | Error e -> Error (Printf.sprintf "line %d: %s" i e))
   in
-  loop [] 1 lines
+  loop [] 1 (String.split_on_char '\n' text)
 
 (* ---- Accessors (for consumers of parsed lines) ---- *)
 

@@ -49,7 +49,8 @@ val parse : string -> (json, string) result
 
 val parse_lines : string -> (json list, string) result
 (** Parse a JSONL document: one value per non-blank line; fails on the
-    first unparsable line. *)
+    first unparsable line, naming its 1-based position in [text] (blank
+    lines counted). *)
 
 val member : string -> json -> json option
 (** Field lookup in an [Obj]; [None] on other variants. *)

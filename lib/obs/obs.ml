@@ -48,11 +48,6 @@ let create_like t = if t.enabled then make ~enabled:true ~max_events:t.max_event
 
 let set_clock t now = if t.enabled then t.now <- now
 
-let of_engine engine =
-  let t = create () in
-  set_clock t (fun () -> Engine.now engine);
-  t
-
 let enabled t = t.enabled
 
 (* Metrics and tracing are separable: a [max_events = 0] sink keeps full
@@ -102,9 +97,6 @@ let histogram t ?edges name =
     h
 
 let observe t ?edges name v = if t.enabled then Histogram.observe (histogram t ?edges name) v
-
-let observe_span t ?edges name span =
-  if t.enabled then Histogram.observe_span (histogram t ?edges name) span
 
 let observe_since t ?edges name since =
   if t.enabled then

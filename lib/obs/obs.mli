@@ -57,9 +57,6 @@ val create : ?max_events:int -> unit -> t
     is called. At most [max_events] (default 2,000,000) spans are
     retained; later spans are counted in {!dropped_spans} instead. *)
 
-val of_engine : Engine.t -> t
-(** [create ()] with the clock already wired to the engine. *)
-
 val create_like : t -> t
 (** A fresh sink with the same retention cap and enabledness: an enabled
     sink yields a fresh enabled sibling, {!noop} yields {!noop}. The
@@ -115,9 +112,6 @@ val gauges : t -> (string * float) list
 val observe : t -> ?edges:float array -> string -> float -> unit
 (** Record a sample in the named histogram, created on first use with
     [edges] (default {!Histogram.default_edges}, milliseconds). *)
-
-val observe_span : t -> ?edges:float array -> string -> Time.span -> unit
-(** {!observe} of a duration as fractional milliseconds. *)
 
 val observe_since : t -> ?edges:float array -> string -> Time.t -> unit
 (** Record [now - since] in milliseconds. Silently skipped when the clock

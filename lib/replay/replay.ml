@@ -591,6 +591,5 @@ let every_ns log = log.l_every_ns
 let frame_times log =
   Array.to_list (Array.map (fun f -> (f.f_index, f.f_at_ns)) log.l_frames)
 let final_at_ns log = log.l_final_at_ns
-let recorded_observables log = log.l_observables
 let report_text (w : World.t) = w.World.report
 let observables = World.observables

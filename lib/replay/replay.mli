@@ -76,9 +76,6 @@ val frame_times : log -> (int * int) list  (** [(index, at_ns)] pairs. *)
 
 val final_at_ns : log -> int
 
-val recorded_observables : log -> (string * string) list
-(** The trailer's observable byte streams, by name. *)
-
 type world
 (** A finished (resumed and run-to-completion) run. *)
 
@@ -90,7 +87,7 @@ val replay : log -> from_frame:int -> world
 
 val observables : world -> (string * string) list
 (** The replayed run's observable byte streams, same names and shapes as
-    {!recorded_observables}. *)
+    the log trailer's. *)
 
 val report_text : world -> string
 (** The replayed run's final report: the experiment result line, or the

@@ -1,5 +1,6 @@
 open Repro_core
 open Repro_workload
+module Stats = Repro_obs.Stats
 module Obs = Repro_obs.Obs
 module Time = Repro_sim.Time
 

@@ -1,5 +1,6 @@
 open Repro_core
 open Repro_workload
+module Stats = Repro_obs.Stats
 
 (** Sharded multi-group simulation: [M] independent consensus groups
     behind the deterministic {!Router}, driven by one {!Population} plan

@@ -1,22 +1,18 @@
 type t = {
   engine : Engine.t;
   mutable free_at : Time.t; (* instant the last queued item completes *)
-  mutable queued : int;
   mutable busy_ns : int;
 }
 
-let create engine = { engine; free_at = Time.zero; queued = 0; busy_ns = 0 }
+let create engine = { engine; free_at = Time.zero; busy_ns = 0 }
 
 let submit t ~cost thunk =
   let now = Engine.now t.engine in
   let start = Time.max t.free_at now in
   let finish = Time.add start cost in
   t.free_at <- finish;
-  t.queued <- t.queued + 1;
   t.busy_ns <- t.busy_ns + Time.span_to_ns cost;
-  Engine.post_at t.engine finish (fun () ->
-      t.queued <- t.queued - 1;
-      thunk ())
+  Engine.post_at t.engine finish thunk
 
 let charge t cost =
   let start = Time.max t.free_at (Engine.now t.engine) in
@@ -24,7 +20,6 @@ let charge t cost =
   t.busy_ns <- t.busy_ns + Time.span_to_ns cost
 
 let busy_until t = Time.max t.free_at (Engine.now t.engine)
-let queue_length t = t.queued
 let busy_time t = Time.span_ns t.busy_ns
 
 let utilization t ~since =
@@ -36,17 +31,15 @@ let utilization t ~since =
     busy /. float_of_int wall
 
 let snapshot ?(name = "sim.cpu") t =
-  Snapshot.make ~name ~version:1
+  Snapshot.make ~name ~version:2
     [
       ("free_at_ns", Snapshot.Int (Time.to_ns t.free_at));
-      ("queued", Snapshot.Int t.queued);
       ("busy_ns", Snapshot.Int t.busy_ns);
     ]
 
 let restore ?(name = "sim.cpu") t s =
-  Snapshot.check s ~name ~version:1;
+  Snapshot.check s ~name ~version:2;
   t.free_at <- Time.of_ns (Snapshot.get_int s "free_at_ns");
   (* In-flight completion closures live in the engine queue; the world
      blob restores them. This pair re-seats the accounting state. *)
-  t.queued <- Snapshot.get_int s "queued";
   t.busy_ns <- Snapshot.get_int s "busy_ns"

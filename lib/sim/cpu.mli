@@ -37,9 +37,6 @@ val busy_until : t -> Time.t
 (** The instant the CPU becomes idle given current queue contents; [now] if
     it is idle. *)
 
-val queue_length : t -> int
-(** Work items submitted but not yet completed. *)
-
 val busy_time : t -> Time.span
 (** Cumulative time spent executing work since creation. *)
 
@@ -48,8 +45,8 @@ val utilization : t -> since:Time.t -> float
     instant. Counts only work already completed or in progress. *)
 
 val snapshot : ?name:string -> t -> Snapshot.section
-(** Accounting state: next-free instant, queue depth, cumulative busy
-    time. Default section name ["sim.cpu"]. *)
+(** Accounting state: next-free instant and cumulative busy time.
+    Default section name ["sim.cpu"]. *)
 
 val restore : ?name:string -> t -> Snapshot.section -> unit
 (** Re-seat the accounting state. Queued completion closures are restored

@@ -231,15 +231,6 @@ let rec field_to_json = function
   | String s -> "\"" ^ escape_json s ^ "\""
   | List items -> "[" ^ String.concat "," (List.map field_to_json items) ^ "]"
 
-let section_to_json s =
-  let fields =
-    List.map (fun (k, f) -> "\"" ^ escape_json k ^ "\":" ^ field_to_json f) s.fields
-  in
-  Printf.sprintf "{\"section\":\"%s\",\"version\":%d,\"data_bytes\":%d%s%s}"
-    (escape_json s.name) s.version (String.length s.data)
-    (if fields = [] then "" else ",")
-    (String.concat "," fields)
-
 (* ---- structural diff (bisect's state-diff report) ---- *)
 
 type field_diff = { key : string; before : field option; after : field option }

@@ -72,8 +72,6 @@ val decode_sections : string -> section list
 (** Inverse of {!encode_sections}. @raise Codec_error on malformed input. *)
 
 val field_to_json : field -> string
-val section_to_json : section -> string
-(** One JSON object per section (write-only rendering for reports). *)
 
 (** Structural diff between two frames' section lists. *)
 

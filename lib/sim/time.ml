@@ -44,6 +44,4 @@ let max (a : t) b = Stdlib.max a b
 let min (a : t) b = Stdlib.min a b
 let to_ms_float t = float_of_int t /. 1e6
 let span_to_ms_float d = float_of_int d /. 1e6
-let span_to_us_float d = float_of_int d /. 1e3
 let pp ppf t = Fmt.pf ppf "%.3fms" (to_ms_float t)
-let pp_span ppf d = Fmt.pf ppf "%.3fms" (span_to_ms_float d)

@@ -86,11 +86,6 @@ val to_ms_float : t -> float
 val span_to_ms_float : span -> float
 (** Duration as fractional milliseconds (for reporting only). *)
 
-val span_to_us_float : span -> float
-(** Duration as fractional microseconds (for reporting only). *)
-
 val pp : t Fmt.t
 (** Prints an instant as [<ms>ms] with microsecond precision. *)
 
-val pp_span : span Fmt.t
-(** Prints a duration as [<ms>ms] with microsecond precision. *)

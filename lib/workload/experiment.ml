@@ -1,6 +1,7 @@
 open Repro_sim
 open Repro_net
 open Repro_core
+module Stats = Repro_obs.Stats
 module Obs = Repro_obs.Obs
 
 type config = {

@@ -1,4 +1,5 @@
 open Repro_core
+module Stats = Repro_obs.Stats
 
 (** One benchmark run: workload + measurement window.
 

@@ -1,5 +1,6 @@
-(* The implementation moved to [Repro_obs.Stats] so the observability
-   layer's histograms can share the percentile machinery without a
-   dependency cycle; this alias keeps every existing [Stats] call site
-   (experiments, tests, the benchmark harness) compiling unchanged. *)
+(* A re-export of [Repro_obs.Stats], which owns the implementation. The
+   library itself and its users name [Repro_obs.Stats]; the one remaining
+   user of this alias is the repository benchmark ([perfbench/]), which
+   reaches [Stats] through [open Repro_workload]. Delete this file together
+   with that open's reliance on it. *)
 include Repro_obs.Stats

@@ -1,9 +1,6 @@
-(** Sample statistics for the performance metrics.
-
-    Alias of [Repro_obs.Stats], which owns the implementation (the
-    observability layer's histograms use the same percentile machinery).
-    The types are equal, so summaries flow freely between the two
-    libraries. *)
+(** Alias of [Repro_obs.Stats], kept only for the repository benchmark
+    ([perfbench/]), which reaches [Stats] through [open Repro_workload].
+    Every other caller names [Repro_obs.Stats]. *)
 
 include module type of struct
   include Repro_obs.Stats

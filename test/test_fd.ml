@@ -136,93 +136,6 @@ let test_heartbeat_stop_quiesces () =
     (Printf.sprintf "no periodic events linger (pending=%d)" before)
     true (before = 0)
 
-(* ---- Chen adaptive detector over the simulated network ---- *)
-
-type chen_world = {
-  c_engine : Engine.t;
-  c_net : unit Network.t;
-  c_detectors : Chen_fd.t array;
-}
-
-let make_chen_world ?(n = 3) ?(config = Chen_fd.default_config) () =
-  let engine = Engine.create () in
-  let net = Network.create engine ~n ~payload_bytes:(fun () -> 8) () in
-  let detectors =
-    Array.init n (fun me ->
-        Chen_fd.create engine config ~n ~me ~send_heartbeat:(fun ~dst ->
-            Network.send net ~src:me ~dst ()))
-  in
-  Array.iteri
-    (fun me cd -> Network.register net me (fun ~src () -> Chen_fd.on_heartbeat cd ~src))
-    detectors;
-  { c_engine = engine; c_net = net; c_detectors = detectors }
-
-let chen_run w span = Engine.run_until w.c_engine (Time.add (Engine.now w.c_engine) span)
-
-let test_chen_no_false_suspicion () =
-  let w = make_chen_world () in
-  chen_run w (Time.span_s 2);
-  Array.iteri
-    (fun me cd ->
-      Alcotest.(check (list int))
-        (Printf.sprintf "p%d suspects nobody on a stable link" (me + 1))
-        [] (Chen_fd.suspects cd))
-    w.c_detectors
-
-let test_chen_detects_crash () =
-  let w = make_chen_world () in
-  chen_run w (Time.span_ms 300);
-  Network.crash w.c_net 2;
-  Chen_fd.stop w.c_detectors.(2);
-  chen_run w (Time.span_s 1);
-  Alcotest.(check (list int)) "p1 suspects p3" [ 2 ] (Chen_fd.suspects w.c_detectors.(0));
-  Alcotest.(check (list int)) "p2 suspects p3" [ 2 ] (Chen_fd.suspects w.c_detectors.(1))
-
-let test_chen_detection_speed () =
-  (* The adaptive deadline must sit close to period + margin after a warm
-     window — much tighter than a conservative fixed timeout. *)
-  let w = make_chen_world () in
-  chen_run w (Time.span_ms 500);
-  let cd = w.c_detectors.(0) in
-  match Chen_fd.predicted_deadline cd 1 with
-  | None -> Alcotest.fail "expected a prediction after warm-up"
-  | Some deadline ->
-    let slack =
-      Time.span_to_ms_float (Time.diff deadline (Engine.now w.c_engine))
-    in
-    Alcotest.(check bool)
-      (Printf.sprintf "deadline within ~2 periods + margin (%.1f ms)" slack)
-      true
-      (slack > 0.0 && slack < 35.0)
-
-let test_chen_retracts () =
-  let w = make_chen_world () in
-  chen_run w (Time.span_ms 300);
-  Network.cut w.c_net ~src:1 ~dst:0;
-  chen_run w (Time.span_ms 100);
-  Alcotest.(check (list int)) "p1 falsely suspects p2" [ 1 ]
-    (Chen_fd.suspects w.c_detectors.(0));
-  Network.heal w.c_net ~src:1 ~dst:0;
-  chen_run w (Time.span_ms 100);
-  Alcotest.(check (list int)) "suspicion retracted on next heartbeat" []
-    (Chen_fd.suspects w.c_detectors.(0))
-
-let test_chen_drives_abcast_recovery () =
-  (* End to end: the full stack over the Chen detector survives a
-     coordinator crash. *)
-  let open Repro_core in
-  let params = Params.default ~n:3 in
-  let g = Group.create ~kind:Replica.Monolithic ~params ~fd_mode:(`Chen Chen_fd.default_config) () in
-  Group.abcast g 1 ~size:256;
-  Group.run_for g (Time.span_ms 100);
-  Group.crash g 0;
-  Group.abcast g 1 ~size:256;
-  Group.abcast g 2 ~size:256;
-  Group.run_for g (Time.span_s 5);
-  let l1 = Group.deliveries g 1 and l2 = Group.deliveries g 2 in
-  Alcotest.(check bool) "survivors agree" true (l1 = l2);
-  Alcotest.(check bool) "progress after crash" true (List.length l1 >= 3)
-
 let () =
   Alcotest.run "fd"
     [
@@ -243,15 +156,5 @@ let () =
           Alcotest.test_case "timeout decays after false suspicion" `Quick
             test_heartbeat_timeout_decays;
           Alcotest.test_case "stop quiesces" `Quick test_heartbeat_stop_quiesces;
-        ] );
-      ( "chen",
-        [
-          Alcotest.test_case "no false suspicion on stable links" `Quick
-            test_chen_no_false_suspicion;
-          Alcotest.test_case "detects a crash" `Quick test_chen_detects_crash;
-          Alcotest.test_case "tight adaptive deadline" `Quick test_chen_detection_speed;
-          Alcotest.test_case "retracts false suspicion" `Quick test_chen_retracts;
-          Alcotest.test_case "drives abcast recovery end-to-end" `Quick
-            test_chen_drives_abcast_recovery;
         ] );
     ]

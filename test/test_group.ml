@@ -163,12 +163,12 @@ let test_run_repeated_combines () =
   let single = Experiment.run c in
   let repeated = Experiment.run_repeated ~repeats:3 c in
   Alcotest.(check bool) "pooled sample is larger" true
-    (repeated.Experiment.early_latency_ms.Stats.count
-    > single.Experiment.early_latency_ms.Stats.count);
+    (repeated.Experiment.early_latency_ms.Repro_obs.Stats.count
+    > single.Experiment.early_latency_ms.Repro_obs.Stats.count);
   Alcotest.(check bool) "means agree broadly" true
     (abs_float
-       (repeated.Experiment.early_latency_ms.Stats.mean
-       -. single.Experiment.early_latency_ms.Stats.mean)
+       (repeated.Experiment.early_latency_ms.Repro_obs.Stats.mean
+       -. single.Experiment.early_latency_ms.Repro_obs.Stats.mean)
     < 1.0);
   Alcotest.check_raises "repeats >= 1"
     (Invalid_argument "Experiment.run_repeated: repeats must be >= 1") (fun () ->

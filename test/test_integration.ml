@@ -136,7 +136,7 @@ let test_headline_comparison () =
     let delivered = Replica.delivered_count (Group.replica g 0) in
     ( float_of_int s.Net_stats.messages /. float_of_int delivered,
       float_of_int s.Net_stats.payload_bytes /. float_of_int delivered,
-      Repro_workload.Stats.mean lats )
+      Repro_obs.Stats.mean lats )
   in
   let mod_msgs, mod_bytes, mod_lat = measure Replica.Modular in
   let mono_msgs, mono_bytes, mono_lat = measure Replica.Monolithic in

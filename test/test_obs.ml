@@ -135,6 +135,16 @@ let test_jsonl_parse_errors () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "bad line accepted"
 
+(* An error names the line's position in the input, blank lines counted. *)
+let test_jsonl_error_lines () =
+  let line_of text =
+    match Jsonl.parse_lines text with
+    | Ok _ -> Alcotest.failf "%S accepted" text
+    | Error e -> Scanf.sscanf e "line %d:" Fun.id
+  in
+  Alcotest.(check int) "first line" 1 (line_of "garbage");
+  Alcotest.(check int) "after a blank line" 3 (line_of "{}\n\ngarbage")
+
 (* ---- Renderer oracle ----
 
    The tree-concatenating renderer [Jsonl.to_string] had before it wrote
@@ -400,6 +410,7 @@ let () =
         [
           Alcotest.test_case "metrics round-trip" `Quick test_jsonl_metrics_roundtrip;
           Alcotest.test_case "parse errors" `Quick test_jsonl_parse_errors;
+          Alcotest.test_case "error line numbers" `Quick test_jsonl_error_lines;
           QCheck_alcotest.to_alcotest prop_renderer_matches_reference;
           QCheck_alcotest.to_alcotest prop_ints_and_strings_roundtrip;
           Alcotest.test_case "export shape" `Quick test_export_shape;

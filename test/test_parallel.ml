@@ -10,6 +10,7 @@ module Obs = Repro_obs.Obs
 module Jsonl = Repro_obs.Jsonl
 open Repro_core
 open Repro_workload
+module Stats = Repro_obs.Stats
 
 (* ---- Pool ---- *)
 

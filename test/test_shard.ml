@@ -12,6 +12,7 @@ module Rng = Repro_sim.Rng
 module Time = Repro_sim.Time
 open Repro_core
 open Repro_workload
+module Stats = Repro_obs.Stats
 
 let dump obs = String.concat "\n" (Jsonl.metric_lines ~tags:[] obs)
 let dump_spans obs = String.concat "\n" (Jsonl.span_lines ~tags:[] obs)

@@ -376,7 +376,7 @@ let test_fault_spans () =
 
 let test_checksum_drop_spans () =
   let obs = Obs.create () in
-  let params = { (Params.default ~n:3) with Params.checksums = true } in
+  let params = Params.default ~n:3 in
   let group = Group.create ~kind:Replica.Modular ~params ~obs () in
   ignore
     (Repro_fault.Nemesis.install_exn group
