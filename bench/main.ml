@@ -328,10 +328,7 @@ let ablation_mono () =
   in
   section "Ablation A1: contribution of each monolithic optimization (n=3, 8 KiB)";
   List.iter
-    (fun (name, (r : Experiment.result)) ->
-      Fmt.pr "%-26s | lat %7.3f ms | tput %7.1f/s | msgs/inst %5.2f | bytes/inst %8.0f@."
-        name r.early_latency_ms.Stats.mean r.throughput r.msgs_per_instance
-        r.bytes_per_instance)
+    (fun (name, r) -> Fmt.pr "%s@." (Experiment.ablation_row ~width:26 name r))
     results
 
 (* ---- Ablation A2: framework dispatch cost ---- *)

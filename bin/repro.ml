@@ -372,9 +372,7 @@ let ablation_cmd =
             r.Experiment.early_latency_ms.Stats.mean r.Experiment.throughput
             r.Experiment.msgs_per_instance r.Experiment.bytes_per_instance
         else
-          Fmt.pr "%-24s | lat %7.3f ms | tput %7.1f/s | msgs/inst %5.2f | bytes/inst %8.0f@."
-            name r.Experiment.early_latency_ms.Stats.mean r.Experiment.throughput
-            r.Experiment.msgs_per_instance r.Experiment.bytes_per_instance)
+          print_endline (Experiment.ablation_row ~width:24 name r))
       Params.mono_ablations
   in
   Cmd.v

@@ -23,6 +23,9 @@ type t = {
   consensus : consensus_service;
   on_adeliver : App_msg.t -> unit;
   obs : Obs.t;
+  c_adelivers : Obs.counter;
+  h_e2e_ms : Obs.histogram;
+  c_abcasts : Obs.counter;
   payloads : App_msg.t Id_tbl.t; (* everything diffused to us, incl. own *)
   delivered : Id_table.t;
   mutable pending : App_msg.Id_set.t; (* ids known but not yet ordered *)
@@ -52,6 +55,9 @@ let create ~engine ~params ~me ~diffuse ~send ~broadcast ~consensus ~on_adeliver
     consensus;
     on_adeliver;
     obs;
+    c_adelivers = Obs.counter obs "abcast.adelivers";
+    h_e2e_ms = Obs.histogram obs "abcast.e2e_ms";
+    c_abcasts = Obs.counter obs "abcast.abcasts";
     payloads = Id_tbl.create 1024;
     delivered = Id_table.create ~n:params.Params.n;
     pending = App_msg.Id_set.empty;
@@ -132,9 +138,8 @@ let adeliver_batch t batch =
             ~seq:m.id.App_msg.seq;
           t.ordered <- App_msg.Id_set.remove m.id t.ordered;
           t.delivered_count <- t.delivered_count + 1;
-          Obs.incr t.obs "abcast.adelivers";
-          if Obs.enabled t.obs then
-            Obs.observe_since t.obs "abcast.e2e_ms" payload.App_msg.abcast_at;
+          Obs.bump t.obs t.c_adelivers;
+          Obs.sample_since t.obs t.h_e2e_ms payload.App_msg.abcast_at;
           t.on_adeliver payload
         | None ->
           (* Unreachable: the caller checked [missing_payloads] first. *)
@@ -179,7 +184,7 @@ let note_payload t (m : App_msg.t) =
 
 let abcast t m =
   if not (delivered_mem t m.App_msg.id) then begin
-    Obs.incr t.obs "abcast.abcasts";
+    Obs.bump t.obs t.c_abcasts;
     let sp =
       if Obs.tracing t.obs then
         Obs.span t.obs ~pid:t.me ~layer:`Abcast ~phase:"abcast"

@@ -10,6 +10,9 @@ type t = {
   consensus : consensus_service;
   on_adeliver : App_msg.t -> unit;
   obs : Obs.t;
+  c_adelivers : Obs.counter;
+  h_e2e_ms : Obs.histogram;
+  c_abcasts : Obs.counter;
   delivered : Id_table.t;
   mutable pending : Batch.t;
   mutable next_decide : int; (* next instance to adeliver *)
@@ -26,6 +29,9 @@ let create ~params ~me ~diffuse ~consensus ~on_adeliver ?(obs = Obs.noop) () =
     consensus;
     on_adeliver;
     obs;
+    c_adelivers = Obs.counter obs "abcast.adelivers";
+    h_e2e_ms = Obs.histogram obs "abcast.e2e_ms";
+    c_abcasts = Obs.counter obs "abcast.abcasts";
     delivered = Id_table.create ~n:params.Params.n;
     pending = Batch.empty;
     next_decide = 0;
@@ -74,9 +80,8 @@ let adeliver_batch t batch =
       then begin
         Id_table.add t.delivered ~origin:id.App_msg.origin ~seq:id.App_msg.seq;
         t.delivered_count <- t.delivered_count + 1;
-        Obs.incr t.obs "abcast.adelivers";
-        if Obs.enabled t.obs then
-          Obs.observe_since t.obs "abcast.e2e_ms" m.App_msg.abcast_at;
+        Obs.bump t.obs t.c_adelivers;
+        Obs.sample_since t.obs t.h_e2e_ms m.App_msg.abcast_at;
         t.on_adeliver m
       end)
     (Batch.to_list batch);
@@ -108,7 +113,7 @@ let delivered_mem t (m : App_msg.t) =
 let abcast t m =
   if not (delivered_mem t m) then begin
     t.pending <- Batch.add t.pending m;
-    Obs.incr t.obs "abcast.abcasts";
+    Obs.bump t.obs t.c_abcasts;
     let sp =
       if Obs.tracing t.obs then
         Obs.span t.obs ~pid:t.me ~layer:`Abcast ~phase:"abcast"

@@ -33,6 +33,10 @@ type t = {
   broadcast : Msg.t -> unit;
   on_adeliver : App_msg.t -> unit;
   obs : Obs.t;
+  c_adelivers : Obs.counter;
+  h_e2e_ms : Obs.histogram;
+  c_decisions : Obs.counter;
+  c_abcasts : Obs.counter;
   instances : (int, inst_state) Hashtbl.t;
   delivered : Id_table.t;
   mutable next_deliver : int; (* next instance to adeliver *)
@@ -127,9 +131,8 @@ let adeliver_batch t batch =
         Id_table.add t.delivered ~origin:m.App_msg.id.App_msg.origin
           ~seq:m.App_msg.id.App_msg.seq;
         t.delivered_count <- t.delivered_count + 1;
-        Obs.incr t.obs "abcast.adelivers";
-        if Obs.enabled t.obs then
-          Obs.observe_since t.obs "abcast.e2e_ms" m.App_msg.abcast_at;
+        Obs.bump t.obs t.c_adelivers;
+        Obs.sample_since t.obs t.h_e2e_ms m.App_msg.abcast_at;
         t.on_adeliver m
       end)
     (Batch.to_list batch);
@@ -241,7 +244,7 @@ and mono_decide t s value ~here_round =
       s.pending_requesters;
     s.pending_requesters <- [];
     L.debug (fun m -> m "%a decide i%d %a" Pid.pp t.me s.inst Batch.pp value);
-    Obs.incr t.obs "abcast.decisions";
+    Obs.bump t.obs t.c_decisions;
     let sp =
       if Obs.tracing t.obs then
         Obs.span t.obs ~pid:t.me ~layer:`Abcast ~phase:"decide"
@@ -471,7 +474,7 @@ let rec arm_kick t =
 
 let abcast t m =
   if not (delivered_mem t m) then begin
-    Obs.incr t.obs "abcast.abcasts";
+    Obs.bump t.obs t.c_abcasts;
     let sp =
       if Obs.tracing t.obs then
         Obs.span t.obs ~pid:t.me ~layer:`Abcast ~phase:"abcast"
@@ -684,10 +687,15 @@ let create ~engine ~params ~me ~fd ~send ~broadcast ~on_adeliver ?(obs = Obs.noo
       broadcast;
       on_adeliver;
       obs;
-      (* Instances are never removed, so the table grows with the run; size it
-         for a full report-workload window up front instead of paying a chain
-         of rehash copies on the hot path. *)
-      instances = Hashtbl.create 4096;
+      c_adelivers = Obs.counter obs "abcast.adelivers";
+      h_e2e_ms = Obs.histogram obs "abcast.e2e_ms";
+      c_decisions = Obs.counter obs "abcast.decisions";
+      c_abcasts = Obs.counter obs "abcast.abcasts";
+      (* Instances are never removed, so the table grows with the run. It
+         starts small: sized for a whole window, it would be most of what
+         building a group allocates, in one block straight into the major
+         heap; the doublings cost a few copies per run. *)
+      instances = Hashtbl.create 256;
       delivered = Id_table.create ~n:params.Params.n;
       next_deliver = 0;
       max_decided = -1;

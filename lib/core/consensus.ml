@@ -35,6 +35,11 @@ type t = {
   rbcast_decision : inst:int -> round:int -> value:Batch.t option -> unit;
   on_decide : inst:int -> Batch.t -> unit;
   obs : Obs.t;
+  c_decisions : Obs.counter;
+  h_decide_ms : Obs.histogram;
+  c_proposals : Obs.counter;
+  c_estimates : Obs.counter;
+  c_acks : Obs.counter;
   instances : (int, inst_state) Hashtbl.t;
   mutable max_decided : int;
   mutable catchup_from : int; (* lowest instance not known decided *)
@@ -137,9 +142,8 @@ let decide t s value =
     s.pending_requesters <- [];
     L.debug (fun m ->
         m "%a decide i%d %a" Pid.pp t.me s.inst Batch.pp value);
-    Obs.incr t.obs "consensus.decisions";
-    if Obs.enabled t.obs then
-      Obs.observe_since t.obs "consensus.decide_ms" s.created_at;
+    Obs.bump t.obs t.c_decisions;
+    Obs.sample_since t.obs t.h_decide_ms s.created_at;
     let sp =
       if Obs.tracing t.obs then
         Obs.span t.obs ~pid:t.me ~layer:`Consensus ~phase:"decide"
@@ -225,7 +229,7 @@ and maybe_propose t s ~round =
       slot := [ t.me ];
       L.debug (fun m ->
           m "%a propose i%d r%d (%d msgs)" Pid.pp t.me s.inst round (Batch.size value));
-      Obs.incr t.obs "consensus.proposals";
+      Obs.bump t.obs t.c_proposals;
       let sp =
         if Obs.tracing t.obs then
           Obs.span t.obs ~pid:t.me ~layer:`Consensus ~phase:"propose"
@@ -269,7 +273,7 @@ and send_estimate t s ~round =
   match s.estimate with
   | Some value when not (List.mem round s.estimate_sent) ->
     s.estimate_sent <- round :: s.estimate_sent;
-    Obs.incr t.obs "consensus.estimates";
+    Obs.bump t.obs t.c_estimates;
     let sp =
       if Obs.tracing t.obs then
         Obs.span t.obs ~pid:t.me ~layer:`Consensus ~phase:"estimate"
@@ -363,7 +367,7 @@ let handle_propose t s ~src ~round ~value =
       s.acked_rounds <- round :: s.acked_rounds;
       s.estimate <- Some value;
       s.ts <- round;
-      Obs.incr t.obs "consensus.acks";
+      Obs.bump t.obs t.c_acks;
       let sp =
         if Obs.tracing t.obs then
           Obs.span t.obs ~pid:t.me ~layer:`Consensus ~phase:"ack"
@@ -474,10 +478,16 @@ let create ~engine ~params ~me ~fd ~send ~broadcast ~rbcast_decision ~on_decide
       rbcast_decision;
       on_decide;
       obs;
-      (* Instances are never removed, so the table grows with the run; size it
-         for a full report-workload window up front instead of paying a chain
-         of rehash copies on the hot path. *)
-      instances = Hashtbl.create 4096;
+      c_decisions = Obs.counter obs "consensus.decisions";
+      h_decide_ms = Obs.histogram obs "consensus.decide_ms";
+      c_proposals = Obs.counter obs "consensus.proposals";
+      c_estimates = Obs.counter obs "consensus.estimates";
+      c_acks = Obs.counter obs "consensus.acks";
+      (* Instances are never removed, so the table grows with the run. It
+         starts small: sized for a whole window, it would be most of what
+         building a group allocates, in one block straight into the major
+         heap; the doublings cost a few copies per run. *)
+      instances = Hashtbl.create 256;
       max_decided = -1;
       catchup_from = 0;
       catchup_timer = None;

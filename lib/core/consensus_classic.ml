@@ -30,6 +30,11 @@ type t = {
   rbcast_decision : inst:int -> round:int -> value:Batch.t option -> unit;
   on_decide : inst:int -> Batch.t -> unit;
   obs : Obs.t;
+  c_decisions : Obs.counter;
+  h_decide_ms : Obs.histogram;
+  c_proposals : Obs.counter;
+  c_estimates : Obs.counter;
+  c_acks : Obs.counter;
   instances : (int, inst_state) Hashtbl.t;
   mutable max_decided : int;
   mutable catchup_from : int; (* lowest instance not known decided *)
@@ -115,9 +120,8 @@ let decide t s value =
       (fun q -> t.send ~dst:q (Msg.Decision_full { inst = s.inst; value }))
       s.pending_requesters;
     s.pending_requesters <- [];
-    Obs.incr t.obs "consensus.decisions";
-    if Obs.enabled t.obs then
-      Obs.observe_since t.obs "consensus.decide_ms" s.created_at;
+    Obs.bump t.obs t.c_decisions;
+    Obs.sample_since t.obs t.h_decide_ms s.created_at;
     let sp =
       if Obs.tracing t.obs then
         Obs.span t.obs ~pid:t.me ~layer:`Consensus ~phase:"decide"
@@ -173,7 +177,7 @@ let rec try_propose t s ~round =
         s.estimate <- Some value;
         s.ts <- round;
         Hashtbl.replace s.acks round (ref [ t.me ]);
-        Obs.incr t.obs "consensus.proposals";
+        Obs.bump t.obs t.c_proposals;
         let sp =
           if Obs.tracing t.obs then
             Obs.span t.obs ~pid:t.me ~layer:`Consensus ~phase:"propose"
@@ -210,7 +214,7 @@ and enter_round t s ~round =
       let c = coord t ~round in
       record_estimate s ~round ~src:t.me ~ts:s.ts ~value;
       if c <> t.me then begin
-        Obs.incr t.obs "consensus.estimates";
+        Obs.bump t.obs t.c_estimates;
         let sp =
           if Obs.tracing t.obs then
             Obs.span t.obs ~pid:t.me ~layer:`Consensus ~phase:"estimate"
@@ -278,7 +282,7 @@ let handle_propose t s ~src ~round ~value =
     else begin
       s.estimate <- Some value;
       s.ts <- round;
-      Obs.incr t.obs "consensus.acks";
+      Obs.bump t.obs t.c_acks;
       let sp =
         if Obs.tracing t.obs then
           Obs.span t.obs ~pid:t.me ~layer:`Consensus ~phase:"ack"
@@ -373,10 +377,16 @@ let create ~engine ~params ~me ~fd ~send ~broadcast ~rbcast_decision ~on_decide
       rbcast_decision;
       on_decide;
       obs;
-      (* Instances are never removed, so the table grows with the run; size it
-         for a full report-workload window up front instead of paying a chain
-         of rehash copies on the hot path. *)
-      instances = Hashtbl.create 4096;
+      c_decisions = Obs.counter obs "consensus.decisions";
+      h_decide_ms = Obs.histogram obs "consensus.decide_ms";
+      c_proposals = Obs.counter obs "consensus.proposals";
+      c_estimates = Obs.counter obs "consensus.estimates";
+      c_acks = Obs.counter obs "consensus.acks";
+      (* Instances are never removed, so the table grows with the run. It
+         starts small: sized for a whole window, it would be most of what
+         building a group allocates, in one block straight into the major
+         heap; the doublings cost a few copies per run. *)
+      instances = Hashtbl.create 256;
       max_decided = -1;
       catchup_from = 0;
       catchup_timer = None;

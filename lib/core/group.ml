@@ -45,6 +45,7 @@ let create ~kind ~params ?(fd_mode = `Good_run) ?(record_deliveries = true)
   Obs.set_clock obs (fun () -> Engine.now engine);
   let network =
     Network.create engine ~wire:params.Params.wire ?topology:params.Params.topology
+      ~kind_names:Wire_msg.kind_names ~kind_index:Wire_msg.kind_index
       ~kind_of:Wire_msg.kind ~layer_of:Wire_msg.layer ~obs ~n:params.Params.n
       ~payload_bytes:Wire_msg.payload_bytes ()
   in

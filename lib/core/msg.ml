@@ -80,24 +80,49 @@ let layer : t -> Repro_obs.Obs.layer = function
   | Payload_request _ | Payload_push _ ->
     `Abcast
 
-let kind = function
-  | Heartbeat -> "heartbeat"
-  | Diffuse _ -> "diffuse"
-  | Estimate _ -> "estimate"
-  | Propose _ -> "propose"
-  | Ack _ -> "ack"
-  | Nack _ -> "nack"
-  | Decision_tag _ -> "decision-tag"
-  | New_round _ -> "new-round"
-  | Prop_dec _ -> "prop-dec"
-  | Ack_diff _ -> "ack-diff"
-  | Mono_estimate _ -> "mono-estimate"
-  | Mono_decision_tag _ -> "mono-decision-tag"
-  | To_coord _ -> "to-coord"
-  | Payload_request _ -> "payload-request"
-  | Payload_push _ -> "payload-push"
-  | Decision_request _ -> "decision-request"
-  | Decision_full _ -> "decision-full"
+(* Dense kind index, in constructor order: the per-copy accounting counts
+   by slot in [kind_names] rather than by hashed name. *)
+let kind_names =
+  [|
+    "heartbeat";
+    "diffuse";
+    "estimate";
+    "propose";
+    "ack";
+    "nack";
+    "decision-tag";
+    "new-round";
+    "prop-dec";
+    "ack-diff";
+    "mono-estimate";
+    "mono-decision-tag";
+    "to-coord";
+    "payload-request";
+    "payload-push";
+    "decision-request";
+    "decision-full";
+  |]
+
+let kind_index = function
+  | Heartbeat -> 0
+  | Diffuse _ -> 1
+  | Estimate _ -> 2
+  | Propose _ -> 3
+  | Ack _ -> 4
+  | Nack _ -> 5
+  | Decision_tag _ -> 6
+  | New_round _ -> 7
+  | Prop_dec _ -> 8
+  | Ack_diff _ -> 9
+  | Mono_estimate _ -> 10
+  | Mono_decision_tag _ -> 11
+  | To_coord _ -> 12
+  | Payload_request _ -> 13
+  | Payload_push _ -> 14
+  | Decision_request _ -> 15
+  | Decision_full _ -> 16
+
+let kind m = kind_names.(kind_index m)
 
 let pp ppf = function
   | Heartbeat -> Fmt.string ppf "heartbeat"

@@ -95,7 +95,16 @@ val payload_bytes : t -> int
 (** Serialized size of the message in bytes (protocol headers + payload). *)
 
 val kind : t -> string
-(** Constructor name, for traces and per-kind accounting. *)
+(** Constructor name, for traces and per-kind accounting: lower case,
+    words joined by dashes (["decision-tag"]). *)
+
+val kind_index : t -> int
+(** The message's slot in {!kind_names}: one per constructor, in
+    declaration order. *)
+
+val kind_names : string array
+(** [kind_names.(kind_index m) = kind m]. A constant table: never mutate
+    it. *)
 
 val layer : t -> Repro_obs.Obs.layer
 (** The protocol layer the message belongs to, for the per-layer traffic

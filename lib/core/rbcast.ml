@@ -8,12 +8,27 @@ type 'p t = {
   broadcast : meta:Msg.rb_meta -> 'p -> unit;
   deliver : meta:Msg.rb_meta -> 'p -> unit;
   obs : Obs.t;
+  c_broadcasts : Obs.counter;
+  c_delivers : Obs.counter;
+  c_relays : Obs.counter;
   seen : Id_table.t; (* rdelivered (origin, seq) envelopes *)
   mutable next_seq : int;
 }
 
 let create ~me ~n ~variant ~broadcast ~deliver ?(obs = Obs.noop) () =
-  { me; n; variant; broadcast; deliver; obs; seen = Id_table.create ~n; next_seq = 0 }
+  {
+    me;
+    n;
+    variant;
+    broadcast;
+    deliver;
+    obs;
+    c_broadcasts = Obs.counter obs "rbcast.broadcasts";
+    c_delivers = Obs.counter obs "rbcast.delivers";
+    c_relays = Obs.counter obs "rbcast.relays";
+    seen = Id_table.create ~n;
+    next_seq = 0;
+  }
 
 let relayers ~n ~origin =
   let count = (n - 1) / 2 in
@@ -30,8 +45,8 @@ let rbcast t payload =
   let meta = { Msg.rb_origin = t.me; rb_seq = t.next_seq } in
   t.next_seq <- t.next_seq + 1;
   Id_table.add t.seen ~origin:meta.rb_origin ~seq:meta.rb_seq;
-  Obs.incr t.obs "rbcast.broadcasts";
-  Obs.incr t.obs "rbcast.delivers";
+  Obs.bump t.obs t.c_broadcasts;
+  Obs.bump t.obs t.c_delivers;
   let sp =
     if Obs.tracing t.obs then
       Obs.span t.obs ~pid:t.me ~layer:`Rbcast ~phase:"rbcast"
@@ -56,7 +71,7 @@ let receive t ~src:_ ~meta payload =
   let origin = meta.Msg.rb_origin and seq = meta.Msg.rb_seq in
   if not (Id_table.mem t.seen ~origin ~seq) then begin
     Id_table.add t.seen ~origin ~seq;
-    Obs.incr t.obs "rbcast.delivers";
+    Obs.bump t.obs t.c_delivers;
     let sp =
       if Obs.tracing t.obs then
         Obs.span t.obs ~pid:t.me ~layer:`Rbcast ~phase:"rdeliver"
@@ -67,7 +82,7 @@ let receive t ~src:_ ~meta payload =
     Obs.with_span_ctx t.obs sp (fun () ->
         t.deliver ~meta payload;
         if should_relay t ~origin:meta.Msg.rb_origin then begin
-          Obs.incr t.obs "rbcast.relays";
+          Obs.bump t.obs t.c_relays;
           send_to_others t ~meta payload
         end)
   end

@@ -22,3 +22,14 @@ let rec layer = function
   | Frame (Rchannel.Data { payload; _ }) -> Msg.layer payload
   | Frame (Rchannel.Ack _) -> `Net
   | Tampered inner -> layer inner
+
+(* The message kinds first, so a plain or framed message keeps its own
+   slot, then the channel's acks. *)
+let kind_names = Array.append Msg.kind_names [| "channel-ack" |]
+let channel_ack = Array.length Msg.kind_names
+
+let kind_index = function
+  | Plain m -> Msg.kind_index m
+  | Frame (Rchannel.Data { payload; _ }) -> Msg.kind_index payload
+  | Frame (Rchannel.Ack _) -> channel_ack
+  | Tampered _ -> -1

@@ -29,5 +29,13 @@ val kind : t -> string
 (** The inner {!Msg.kind}, or ["channel-ack"]; tampered copies are
     prefixed ["tampered-"]. *)
 
+val kind_names : string array
+(** {!Msg.kind_names} followed by ["channel-ack"]. A constant table: never
+    mutate it. *)
+
+val kind_index : t -> int
+(** The copy's slot in {!kind_names}, or [-1] for a tampered copy: its
+    ["tampered-"] kind lies outside the table and is counted by name. *)
+
 val layer : t -> Repro_obs.Obs.layer
 (** The inner {!Msg.layer}; channel acks bill to the [`Net] layer. *)

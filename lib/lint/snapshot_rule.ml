@@ -67,10 +67,6 @@ let topology_fields =
        construction and holds handler closures; its source documents
        that it rides the world blob with the timers. *)
     ("core.Abcast_monolithic", "t", "decision_rb");
-    (* Interned counter-name memo: contents are a pure function of the
-       kind strings, repopulated on demand; it rides the world blob and
-       capturing it in the codec would be dead weight. *)
-    ("net.Network", "t", "kind_ctrs");
   ]
 
 let unit_name = function Some u -> Boundaries.unit_name u | None -> ""

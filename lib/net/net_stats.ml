@@ -1,42 +1,59 @@
 type snapshot = { messages : int; payload_bytes : int; wire_bytes : int }
 
-(* Native counters rather than the previous shim over a private [Obs.t]:
-   [record_send] runs once per wire copy, squarely on the transmit hot
-   path, and the shim paid two string builds plus five string-keyed
-   hashtable updates per copy. Here the totals are three int stores, the
-   per-sender counts an int-array slot, and only the per-kind split still
-   touches a (small, interned-key) hashtable. *)
+(* Native counters: [record_send] runs once per wire copy, squarely on the
+   transmit hot path, so every count is an int store — the totals in
+   fields, the per-sender and per-kind counts in array slots. The caller
+   names the kind by its slot: the network's dense kinds come first, and
+   a kind first met at run time (a tampered copy, a test's free-form
+   label) gets the next slot through [kind_slot], off the hot path. *)
 type t = {
   mutable messages : int;
   mutable payload : int;
   mutable wire : int;
   sent : int array; (* messages per source pid *)
-  kinds : (string, int ref) Hashtbl.t; (* messages per protocol kind *)
+  mutable kind_names : string array; (* slot -> kind *)
+  mutable kinds : int array; (* messages per kind slot *)
 }
 
 let zero = { messages = 0; payload_bytes = 0; wire_bytes = 0 }
 
-let create ~n =
+let create ~n ~kinds =
   {
     messages = 0;
     payload = 0;
     wire = 0;
     sent = Array.make n 0;
-    kinds = Hashtbl.create 16;
+    kind_names = Array.copy kinds;
+    kinds = Array.make (Array.length kinds) 0;
   }
+
+let kind_slot t name =
+  let rec find i =
+    if i = Array.length t.kind_names then begin
+      t.kind_names <- Array.append t.kind_names [| name |];
+      t.kinds <- Array.append t.kinds [| 0 |];
+      i
+    end
+    else if String.equal t.kind_names.(i) name then i
+    else find (i + 1)
+  in
+  find 0
+
+let kind_name t slot = t.kind_names.(slot)
 
 let record_send t ~src ~kind ~payload_bytes ~wire_bytes =
   t.messages <- t.messages + 1;
   t.payload <- t.payload + payload_bytes;
   t.wire <- t.wire + wire_bytes;
   t.sent.(src) <- t.sent.(src) + 1;
-  match Hashtbl.find t.kinds kind with
-  | slot -> incr slot
-  | exception Not_found -> Hashtbl.add t.kinds kind (ref 1)
+  t.kinds.(kind) <- t.kinds.(kind) + 1
 
 let by_kind t =
-  Hashtbl.fold (fun kind slot acc -> (kind, !slot) :: acc) t.kinds []
-  |> List.sort compare
+  let acc = ref [] in
+  Array.iteri
+    (fun slot count -> if count > 0 then acc := (t.kind_names.(slot), count) :: !acc)
+    t.kinds;
+  List.sort compare !acc
 
 let snapshot t =
   { messages = t.messages; payload_bytes = t.payload; wire_bytes = t.wire }
@@ -78,5 +95,5 @@ let load t d =
   t.payload <- d.d_payload;
   t.wire <- d.d_wire;
   Array.blit d.d_sent 0 t.sent 0 (Array.length t.sent);
-  Hashtbl.reset t.kinds;
-  List.iter (fun (k, v) -> Hashtbl.add t.kinds k (ref v)) d.d_kinds
+  Array.fill t.kinds 0 (Array.length t.kinds) 0;
+  List.iter (fun (k, v) -> t.kinds.(kind_slot t k) <- v) d.d_kinds

@@ -20,12 +20,20 @@ type snapshot = {
   wire_bytes : int;  (** Bytes including per-message framing. *)
 }
 
-val create : n:int -> t
-(** Fresh zeroed counters for an [n]-process system. *)
+val create : n:int -> kinds:string array -> t
+(** Fresh zeroed counters for an [n]-process system whose messages have
+    the given dense kinds: kind [kinds.(i)] is counted in slot [i]. *)
+
+val kind_slot : t -> string -> int
+(** The slot of a kind by name, appending a slot for a kind not met
+    before. A linear scan: for kinds outside the dense table only. *)
+
+val kind_name : t -> int -> string
+(** The kind counted in a slot. *)
 
 val record_send :
-  t -> src:Pid.t -> kind:string -> payload_bytes:int -> wire_bytes:int -> unit
-(** Count one message of the given protocol kind leaving [src]'s NIC. *)
+  t -> src:Pid.t -> kind:int -> payload_bytes:int -> wire_bytes:int -> unit
+(** Count one message leaving [src]'s NIC, of the kind in slot [kind]. *)
 
 val by_kind : t -> (string * int) list
 (** Message counts per protocol kind since creation, sorted by kind. *)

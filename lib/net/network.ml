@@ -61,23 +61,28 @@ type 'msg t = {
      per-message, the membership is static. *)
   others : Pid.t list array;
   payload_bytes : 'msg -> int;
+  (* A copy's kind is its slot in the dense kind table given at creation,
+     or -1 for a kind outside it, which [kind_of] then names. *)
+  kind_index : 'msg -> int;
   kind_of : 'msg -> string;
   layer_of : 'msg -> Obs.layer;
   obs : Obs.t;
   stats : Net_stats.t;
-  (* Counter names interned up front ([net.msgs.<layer>], …): building
-     them per copy put two string concatenations on every transmit. *)
-  ctr_msgs : string array;
-  ctr_payload : string array;
-  ctr_wire : string array;
-  kind_ctrs : (string, string) Hashtbl.t;
+  (* Counter handles resolved up front, by layer ([net.msgs.<layer>], …)
+     and by dense kind ([net.kind_msgs.<kind>]): a copy is counted with
+     array stores, no name built or hashed. *)
+  ctr_msgs : Obs.counter array;
+  ctr_payload : Obs.counter array;
+  ctr_wire : Obs.counter array;
+  ctr_kinds : Obs.counter array;
+  ctr_dropped : Obs.counter;
   mutable loss_rate : float;
   mutable extra_delay : Time.span;
   mutable adversary : 'msg adversary option;
 }
 
-(* Dense index for the (closed) layer variant, keying the interned
-   counter-name arrays. Must agree with [Obs.all_layers]. *)
+(* Dense index for the (closed) layer variant, keying the per-layer
+   counter handles. Must agree with [Obs.all_layers]. *)
 let layer_index = function
   | `Abcast -> 0
   | `Consensus -> 1
@@ -212,14 +217,6 @@ let adversary_stats t =
       adv_equivocated = a.equivocated;
     }
 
-let kind_counter t kind =
-  match Hashtbl.find t.kind_ctrs kind with
-  | name -> name
-  | exception Not_found ->
-    let name = "net.kind_msgs." ^ kind in
-    Hashtbl.add t.kind_ctrs kind name;
-    name
-
 (* [sid] is the transmit span of the copy being delivered, so the receive
    span parents across the wire hop. The receive span is stamped at the
    arrival instant (now), while the handler — and the ambient span context
@@ -246,7 +243,8 @@ let deliver t ~src ~dst ~sid msg =
           | None -> ())
   end
 
-let create engine ?(wire = Wire.default) ?topology ?(kind_of = fun _ -> "msg")
+let create engine ?(wire = Wire.default) ?topology ?(kind_names = [||])
+    ?(kind_index = fun _ -> -1) ?(kind_of = fun _ -> "msg")
     ?(layer_of = fun _ -> `Net) ?(obs = Obs.noop) ~n
     ~payload_bytes () =
   if n < 1 then invalid_arg "Network.create: n must be >= 1";
@@ -264,7 +262,9 @@ let create engine ?(wire = Wire.default) ?topology ?(kind_of = fun _ -> "msg")
     match topology with Some t -> t | None -> Topology.uniform wire.Wire.propagation
   in
   let layers = Array.of_list Obs.all_layers in
-  let interned prefix = Array.map (fun l -> prefix ^ Obs.layer_name l) layers in
+  let by_layer prefix =
+    Array.map (fun l -> Obs.counter obs (prefix ^ Obs.layer_name l)) layers
+  in
   let t =
     {
       engine;
@@ -276,14 +276,17 @@ let create engine ?(wire = Wire.default) ?topology ?(kind_of = fun _ -> "msg")
       cut = Array.init n (fun _ -> Array.make n false);
       others = Array.init n (fun p -> Pid.others ~n p);
       payload_bytes;
+      kind_index;
       kind_of;
       layer_of;
       obs;
-      stats = Net_stats.create ~n;
-      ctr_msgs = interned "net.msgs.";
-      ctr_payload = interned "net.payload_bytes.";
-      ctr_wire = interned "net.wire_bytes.";
-      kind_ctrs = Hashtbl.create 16;
+      stats = Net_stats.create ~n ~kinds:kind_names;
+      ctr_msgs = by_layer "net.msgs.";
+      ctr_payload = by_layer "net.payload_bytes.";
+      ctr_wire = by_layer "net.wire_bytes.";
+      ctr_kinds =
+        Array.map (fun k -> Obs.counter obs ("net.kind_msgs." ^ k)) kind_names;
+      ctr_dropped = Obs.counter obs "net.dropped_msgs";
       loss_rate = 0.0;
       extra_delay = Time.span_zero;
       adversary = None;
@@ -295,17 +298,17 @@ let create engine ?(wire = Wire.default) ?topology ?(kind_of = fun _ -> "msg")
    the protocol layer that produced each message — the measured side of
    the paper's per-layer message/byte argument (§5.2). Returns the
    transmit span (a child of [parent], the span context captured when the
-   sender handed the message to the network). Only called when the sink
-   is enabled. *)
-let record_tx t ~parent ~src ~dst msg ~payload_bytes =
+   sender handed the message to the network). [kind] is the copy's
+   [Net_stats] slot; a slot past the dense table is a kind met at run
+   time, counted by name. Only called when the sink is enabled. *)
+let record_tx t ~parent ~src ~dst msg ~kind ~payload_bytes ~wire_bytes =
   let layer = t.layer_of msg in
   let li = layer_index layer in
-  Obs.incr t.obs t.ctr_msgs.(li);
-  Obs.incr t.obs ~by:payload_bytes t.ctr_payload.(li);
-  Obs.incr t.obs
-    ~by:(Wire.on_wire_bytes t.wire ~payload_bytes)
-    t.ctr_wire.(li);
-  Obs.incr t.obs (kind_counter t (t.kind_of msg));
+  Obs.bump t.obs t.ctr_msgs.(li);
+  Obs.add t.obs t.ctr_payload.(li) payload_bytes;
+  Obs.add t.obs t.ctr_wire.(li) wire_bytes;
+  if kind < Array.length t.ctr_kinds then Obs.bump t.obs t.ctr_kinds.(kind)
+  else Obs.incr t.obs ("net.kind_msgs." ^ Net_stats.kind_name t.stats kind);
   if Obs.tracing t.obs then
     Obs.span t.obs ~parent ~pid:src ~layer ~phase:"tx"
       ~detail:(Printf.sprintf "%s -> p%d" (t.kind_of msg) (dst + 1))
@@ -382,10 +385,13 @@ let transmit_copy t ?(adv_drop = false) ~src ~dst ~payload_bytes ~parent msg =
   let tx_end = Time.add tx_start tx_time in
   sender.nic_free_at <- tx_end;
   sender.nic_busy_ns <- sender.nic_busy_ns + Time.span_to_ns tx_time;
-  Net_stats.record_send t.stats ~src ~kind:(t.kind_of msg) ~payload_bytes
-    ~wire_bytes:(Wire.on_wire_bytes t.wire ~payload_bytes);
+  let kind = t.kind_index msg in
+  let kind = if kind >= 0 then kind else Net_stats.kind_slot t.stats (t.kind_of msg) in
+  let wire_bytes = Wire.on_wire_bytes t.wire ~payload_bytes in
+  Net_stats.record_send t.stats ~src ~kind ~payload_bytes ~wire_bytes;
   let tx_sid =
-    if Obs.enabled t.obs then record_tx t ~parent ~src ~dst msg ~payload_bytes
+    if Obs.enabled t.obs then
+      record_tx t ~parent ~src ~dst msg ~kind ~payload_bytes ~wire_bytes
     else Obs.Span.no_parent
   in
   if adv_drop then begin
@@ -445,7 +451,7 @@ let transmit_copy t ?(adv_drop = false) ~src ~dst ~payload_bytes ~parent msg =
     | _ -> ()
   end
   else if Obs.enabled t.obs then begin
-    Obs.incr t.obs "net.dropped_msgs";
+    Obs.bump t.obs t.ctr_dropped;
     if Obs.tracing t.obs then
       ignore
         (Obs.span t.obs ~parent:tx_sid ~pid:src ~layer:(t.layer_of msg)

@@ -40,6 +40,8 @@ val create :
   Engine.t ->
   ?wire:Wire.t ->
   ?topology:Topology.t ->
+  ?kind_names:string array ->
+  ?kind_index:('msg -> int) ->
   ?kind_of:('msg -> string) ->
   ?layer_of:('msg -> Repro_obs.Obs.layer) ->
   ?obs:Repro_obs.Obs.t ->
@@ -50,8 +52,12 @@ val create :
 (** [create engine ~n ~payload_bytes ()] builds an [n]-process cluster.
     [payload_bytes] gives the serialized size of a message, used for both
     timing and traffic accounting. [kind_of] (default: constant ["msg"])
-    labels messages for the per-kind statistics. [topology] overrides the
-    wire model's uniform propagation latency per link.
+    labels messages for the per-kind statistics and the trace. Kinds known
+    in advance are counted by slot: [kind_index m] is [m]'s position in
+    [kind_names] (default: empty), or [-1] for a kind outside that table
+    (the default), which is then counted under [kind_of m] on a slower
+    path. [topology] overrides the wire model's uniform propagation
+    latency per link.
 
     [obs] (default: the no-op sink) receives layer-attributed traffic
     counters ([net.msgs.<layer>], [net.payload_bytes.<layer>],

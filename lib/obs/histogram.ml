@@ -22,7 +22,9 @@ let create ?(edges = default_edges) () =
   {
     edges;
     bucket_counts = Array.make (Array.length edges + 1) 0;
-    samples = Array.make 64 0.0;
+    (* Allocated on the first sample: a sink creates its histograms when
+       a group is built, and some never receive one. *)
+    samples = [||];
     count = 0;
   }
 
@@ -36,7 +38,7 @@ let observe t v =
   let i = bucket_index t.edges v 0 in
   t.bucket_counts.(i) <- t.bucket_counts.(i) + 1;
   if t.count = Array.length t.samples then begin
-    let bigger = Array.make (2 * t.count) 0.0 in
+    let bigger = Array.make (max 64 (2 * t.count)) 0.0 in
     Array.blit t.samples 0 bigger 0 t.count;
     t.samples <- bigger
   end;

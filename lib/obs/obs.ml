@@ -6,12 +6,30 @@ type layer = [ `Abcast | `Consensus | `Rbcast | `Net | `App ]
 let layer_name = Span.layer_name
 let all_layers : layer list = Span.all_layers
 
+(* Counters and histograms live in dense per-sink slots. A name is
+   resolved to its slot once — by a module at creation, through
+   {!counter}/{!histogram} — and every later bump is one array store with
+   no hashing, no string comparison and no allocation. The name-keyed
+   calls ([incr], [observe]) resolve and then bump the same slot, so a
+   name and its handle are one metric. Slots are never freed or moved:
+   a handle stays valid for the sink's lifetime, across [restore]. *)
+type counter = int
+type histogram = int
+
 type t = {
   enabled : bool;
   mutable now : unit -> Time.t;
-  counters : (string, int ref) Hashtbl.t;
+  ctr_index : (string, int) Hashtbl.t; (* name -> slot; size = slots used *)
+  mutable ctr_vals : int array;
+  (* Byte [slot] is set by a non-positive add. A counter is listed once it
+     is nonzero or touched, so a resolved handle that was never bumped
+     stays invisible while [incr ~by:0] still lists a 0; a positive bump,
+     the hot case, needs no flag. *)
+  mutable ctr_touched : Bytes.t;
   gauges : (string, float ref) Hashtbl.t;
-  histograms : (string, Histogram.t) Hashtbl.t;
+  hist_index : (string, int) Hashtbl.t;
+  (* Created at resolution, listed once it holds a sample. *)
+  mutable hists : Histogram.t array;
   spans : Span.t Trace.t;
   max_events : int;
   mutable dropped_spans : int;
@@ -23,9 +41,14 @@ let make ~enabled ~max_events =
   {
     enabled;
     now = (fun () -> Time.zero);
-    counters = Hashtbl.create 64;
+    ctr_index = Hashtbl.create 64;
+    (* A group resolves about fifty counters: sized so that building one
+       does not regrow the arrays. *)
+    ctr_vals = Array.make 64 0;
+    ctr_touched = Bytes.make 64 '\000';
     gauges = Hashtbl.create 16;
-    histograms = Hashtbl.create 16;
+    hist_index = Hashtbl.create 16;
+    hists = [||];
     spans = Trace.create ();
     max_events;
     dropped_spans = 0;
@@ -59,20 +82,65 @@ let now t = t.now ()
 
 (* ---- Metrics ---- *)
 
-(* [Hashtbl.find] + [Not_found] rather than [find_opt]: the option would
-   be a fresh allocation per bump, and counters are bumped on every wire
-   copy when a sink is enabled. *)
-let incr t ?(by = 1) name =
-  if t.enabled then
-    match Hashtbl.find t.counters name with
-    | slot -> slot := !slot + by
-    | exception Not_found -> Hashtbl.add t.counters name (ref by)
+let grown a fill =
+  let b = Array.make (max 4 (2 * Array.length a)) fill in
+  Array.blit a 0 b 0 (Array.length a);
+  b
+
+let touched t slot = Bytes.get t.ctr_touched slot <> '\000'
+
+(* Find or allocate a name's slot. No enabledness check: [restore] refills
+   through these on any sink. *)
+let ctr_slot t name =
+  match Hashtbl.find t.ctr_index name with
+  | slot -> slot
+  | exception Not_found ->
+    let slot = Hashtbl.length t.ctr_index in
+    if slot = Array.length t.ctr_vals then begin
+      t.ctr_vals <- grown t.ctr_vals 0;
+      t.ctr_touched <- Bytes.extend t.ctr_touched 0 (Array.length t.ctr_vals - slot);
+      Bytes.fill t.ctr_touched slot (Array.length t.ctr_vals - slot) '\000'
+    end;
+    Hashtbl.add t.ctr_index name slot;
+    slot
+
+let hist_slot t ?edges name =
+  match Hashtbl.find t.hist_index name with
+  | slot -> slot
+  | exception Not_found ->
+    let slot = Hashtbl.length t.hist_index in
+    let h = Histogram.create ?edges () in
+    (* [h] also fills the fresh tail; each later slot is overwritten when
+       it is allocated. *)
+    if slot = Array.length t.hists then t.hists <- grown t.hists h;
+    t.hists.(slot) <- h;
+    Hashtbl.add t.hist_index name slot;
+    slot
+
+(* On a disabled sink every handle is 0 and is never dereferenced: the
+   shared [noop] is never written, not even by resolution. *)
+let counter t name = if t.enabled then ctr_slot t name else 0
+let bump t c = if t.enabled then t.ctr_vals.(c) <- t.ctr_vals.(c) + 1
+
+let add t c by =
+  if t.enabled then begin
+    t.ctr_vals.(c) <- t.ctr_vals.(c) + by;
+    if by <= 0 then Bytes.set t.ctr_touched c '\001'
+  end
+
+let incr t ?(by = 1) name = if t.enabled then add t (ctr_slot t name) by
 
 let counter_value t name =
-  match Hashtbl.find_opt t.counters name with Some slot -> !slot | None -> 0
+  match Hashtbl.find_opt t.ctr_index name with
+  | Some slot -> t.ctr_vals.(slot)
+  | None -> 0
 
 let counters t =
-  Hashtbl.fold (fun name slot acc -> (name, !slot) :: acc) t.counters []
+  Hashtbl.fold
+    (fun name slot acc ->
+      if t.ctr_vals.(slot) <> 0 || touched t slot then (name, t.ctr_vals.(slot)) :: acc
+      else acc)
+    t.ctr_index []
   |> List.sort compare
 
 let set_gauge t name v =
@@ -88,31 +156,32 @@ let gauges t =
   Hashtbl.fold (fun name slot acc -> (name, !slot) :: acc) t.gauges []
   |> List.sort compare
 
-let histogram t ?edges name =
-  match Hashtbl.find t.histograms name with
-  | h -> h
-  | exception Not_found ->
-    let h = Histogram.create ?edges () in
-    Hashtbl.add t.histograms name h;
-    h
+let histogram t ?edges name = if t.enabled then hist_slot t ?edges name else 0
+let sample t h v = if t.enabled then Histogram.observe t.hists.(h) v
 
-let observe t ?edges name v = if t.enabled then Histogram.observe (histogram t ?edges name) v
-
-let observe_since t ?edges name since =
+let sample_since t h since =
   if t.enabled then
     let at = t.now () in
     (* A sink whose clock was never wired (or an event stamped before the
        clock advanced) must not crash the protocol it observes. *)
-    if Time.(at >= since) then
-      Histogram.observe_span (histogram t ?edges name) (Time.diff at since)
+    if Time.(at >= since) then Histogram.observe_span t.hists.(h) (Time.diff at since)
+
+let observe t ?edges name v = if t.enabled then sample t (hist_slot t ?edges name) v
+
+let observe_since t ?edges name since =
+  if t.enabled then sample_since t (hist_slot t ?edges name) since
 
 let histogram_summary t name =
-  match Hashtbl.find_opt t.histograms name with
-  | Some h -> Some (Histogram.summary h)
-  | None -> None
+  match Hashtbl.find_opt t.hist_index name with
+  | Some slot when Histogram.count t.hists.(slot) > 0 ->
+    Some (Histogram.summary t.hists.(slot))
+  | _ -> None
 
 let histograms t =
-  Hashtbl.fold (fun name h acc -> (name, h) :: acc) t.histograms []
+  Hashtbl.fold
+    (fun name slot acc ->
+      if Histogram.count t.hists.(slot) > 0 then (name, t.hists.(slot)) :: acc else acc)
+    t.hist_index []
   |> List.sort (fun (a, _) (b, _) -> compare a b)
 
 (* ---- Causal spans ----
@@ -176,7 +245,7 @@ let absorb dst src =
     List.iter (fun (name, v) -> set_gauge dst name v) (gauges src);
     List.iter
       (fun (name, h) ->
-        Histogram.absorb ~into:(histogram dst ~edges:(Histogram.edges h) name) h)
+        Histogram.absorb ~into:dst.hists.(hist_slot dst ~edges:(Histogram.edges h) name) h)
       (histograms src);
     let offset = dst.next_sid in
     let shift sid = if sid = Span.no_parent then sid else sid + offset in
@@ -232,12 +301,24 @@ let snapshot ?(name = "obs.sink") t =
 let restore ?(name = "obs.sink") t s =
   Snap.check s ~name ~version:2;
   let (d : obs_data) = Snap.unpack_data s in
-  Hashtbl.reset t.counters;
-  List.iter (fun (k, v) -> Hashtbl.add t.counters k (ref v)) d.od_counters;
+  (* Refill in place: every name keeps its slot, so handles resolved
+     before the restore count on from the restored values. *)
+  Array.fill t.ctr_vals 0 (Array.length t.ctr_vals) 0;
+  Bytes.fill t.ctr_touched 0 (Bytes.length t.ctr_touched) '\000';
+  List.iter
+    (fun (k, v) ->
+      let slot = ctr_slot t k in
+      t.ctr_vals.(slot) <- v;
+      Bytes.set t.ctr_touched slot '\001')
+    d.od_counters;
   Hashtbl.reset t.gauges;
   List.iter (fun (k, v) -> Hashtbl.add t.gauges k (ref v)) d.od_gauges;
-  Hashtbl.reset t.histograms;
-  List.iter (fun (k, h) -> Hashtbl.add t.histograms k h) d.od_histograms;
+  for slot = 0 to Hashtbl.length t.hist_index - 1 do
+    t.hists.(slot) <- Histogram.create ~edges:(Histogram.edges t.hists.(slot)) ()
+  done;
+  List.iter
+    (fun (k, h) -> t.hists.(hist_slot t ~edges:(Histogram.edges h) k) <- h)
+    d.od_histograms;
   t.dropped_spans <- d.od_dropped_spans;
   t.next_sid <- d.od_next_sid;
   t.ctx <- d.od_ctx

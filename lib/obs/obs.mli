@@ -8,7 +8,7 @@ open Repro_sim
     instrumentation costs a single branch when observation is off and
     existing call sites need no change.
 
-    Three metric families, all keyed by dotted names:
+    Three metric families, all named by dotted keys:
 
     - {e counters} — monotone event counts (messages per layer, acks,
       retransmissions, …);
@@ -16,6 +16,17 @@ open Repro_sim
       instances decided in the measurement window);
     - {e histograms} — fixed-bucket latency distributions with exact
       p50/p95/p99 (see {!Histogram}).
+
+    Counters and histograms have two faces over one storage. The
+    name-keyed calls ({!incr}, {!observe}) hash the name on every call and
+    suit cold or dynamic names: replay bookkeeping, the reliable
+    channel's retransmissions, the adversary's tampered-message kinds.
+    A module on a per-message path instead
+    resolves each name once, at creation, to a {e handle} ({!counter},
+    {!histogram}): a dense slot in the sink's arrays, bumped by {!bump},
+    {!add} or {!sample} with one array store — no hashing, no string, no
+    allocation. A handle and its name are the same metric; a handle
+    resolved but never bumped is listed nowhere.
 
     Plus the trace: one {e causal span} ({!Span}) per protocol step,
     stamped with the simulated clock, the process, the protocol {!layer},
@@ -95,11 +106,29 @@ val now : t -> Time.t
 (** {1 Counters} *)
 
 val incr : t -> ?by:int -> string -> unit
+(** Add [by] (default 1) to the named counter. The counter is listed from
+    then on, even when the amount is 0. *)
+
 val counter_value : t -> string -> int
 (** 0 if never incremented. *)
 
 val counters : t -> (string * int) list
 (** All counters, sorted by name. *)
+
+type counter
+(** A counter handle: valid only with the sink that resolved it. *)
+
+val counter : t -> string -> counter
+(** Resolve a name to its handle, allocating the slot on first use. The
+    counter is not listed until it is bumped. On a disabled sink this
+    writes nothing and returns a handle every bump ignores. *)
+
+val bump : t -> counter -> unit
+(** [bump t c] is [incr t name] for [c = counter t name], as one array
+    store. *)
+
+val add : t -> counter -> int -> unit
+(** [add t c by] is [incr t ~by name]. *)
 
 (** {1 Gauges} *)
 
@@ -119,6 +148,21 @@ val observe_since : t -> ?edges:float array -> string -> Time.t -> unit
 
 val histogram_summary : t -> string -> Stats.summary option
 val histograms : t -> (string * Histogram.t) list
+(** Every histogram holding at least one sample, sorted by name. *)
+
+type histogram
+(** A histogram handle: valid only with the sink that resolved it. *)
+
+val histogram : t -> ?edges:float array -> string -> histogram
+(** Resolve a name to its handle, creating the histogram with [edges] on
+    first use. It is not listed until its first sample. On a disabled
+    sink this writes nothing. *)
+
+val sample : t -> histogram -> float -> unit
+(** [sample t h v] is [observe t name v] for [h = histogram t name]. *)
+
+val sample_since : t -> histogram -> Time.t -> unit
+(** The handle form of {!observe_since}. *)
 
 (** {1 Trace: causal spans}
 
@@ -175,4 +219,6 @@ val snapshot : ?name:string -> t -> Repro_sim.Snapshot.section
     buffer (a closure over the clock) rides the world blob. *)
 
 val restore : ?name:string -> t -> Repro_sim.Snapshot.section -> unit
-(** @raise Repro_sim.Snapshot.Codec_error on mismatch. *)
+(** Refills the sink in place: handles resolved before the restore keep
+    their slots and count on from the restored values.
+    @raise Repro_sim.Snapshot.Codec_error on mismatch. *)

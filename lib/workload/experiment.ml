@@ -268,6 +268,21 @@ let kind_name = function
   | Replica.Monolithic -> "monolithic"
   | Replica.Indirect -> "indirect"
 
+(* Width in code points, not bytes: a variant name such as "no §4.1
+   combine" holds two-byte characters that [%-24s] would count twice. *)
+let pad width s =
+  let rec points i acc =
+    if i >= String.length s then acc
+    else points (i + Uchar.utf_decode_length (String.get_utf_8_uchar s i)) (acc + 1)
+  in
+  let len = points 0 0 in
+  if len >= width then s else s ^ String.make (width - len) ' '
+
+let ablation_row ~width name r =
+  Printf.sprintf "%s | lat %7.3f ms | tput %7.1f/s | msgs/inst %5.2f | bytes/inst %8.0f"
+    (pad width name) r.early_latency_ms.Stats.mean r.throughput r.msgs_per_instance
+    r.bytes_per_instance
+
 let pp_result ppf r =
   Fmt.pf ppf
     "%-10s n=%d load=%6.0f/s size=%6dB | lat %7.3f ±%5.3f ms | tput %7.1f/s | M=%4.1f | \

@@ -141,6 +141,12 @@ val kind_name : Replica.kind -> string
 (** ["modular"], ["monolithic"] or ["indirect"] — the spelling used in
     metric tags and reports. *)
 
+val ablation_row : width:int -> string -> result -> string
+(** One row of ablation A1's table, without newline: the variant name
+    padded with spaces to [width] characters, counted in UTF-8 code
+    points (["§"] counts once), then [| lat … | tput … | msgs/inst …
+    | bytes/inst …]. *)
+
 val pp_result : result Fmt.t
 (** One human-readable line: load, latency, throughput, M, CPU. *)
 

@@ -76,6 +76,97 @@ let test_noop_records_nothing () =
   Alcotest.(check (option (float 0.))) "no gauge" None (Obs.gauge_value Obs.noop "g");
   Alcotest.(check int) "no spans" 0 (Obs.span_count Obs.noop)
 
+(* ---- Handles ---- *)
+
+let test_handle_and_name_share_a_counter () =
+  let obs = Obs.create () in
+  let c = Obs.counter obs "a.x" in
+  Obs.bump obs c;
+  Obs.incr obs "a.x";
+  Obs.add obs c 5;
+  Obs.incr obs ~by:2 "a.x";
+  Alcotest.(check int) "one counter" 9 (Obs.counter_value obs "a.x");
+  Alcotest.(check (list (pair string int))) "listed once" [ ("a.x", 9) ] (Obs.counters obs);
+  let h = Obs.histogram obs "h" in
+  Obs.sample obs h 1.0;
+  Obs.observe obs "h" 2.0;
+  Alcotest.(check (option int)) "one histogram" (Some 2)
+    (Option.map (fun (s : Stats.summary) -> s.Stats.count) (Obs.histogram_summary obs "h"))
+
+let test_unbumped_handle_is_invisible () =
+  let obs = Obs.create () in
+  ignore (Obs.counter obs "resolved.only");
+  ignore (Obs.counter obs "resolved.then.zero");
+  Obs.incr obs ~by:0 "by.zero";
+  Obs.add obs (Obs.counter obs "resolved.then.zero") 0;
+  let listed = [ ("by.zero", 0); ("resolved.then.zero", 0) ] in
+  Alcotest.(check (list (pair string int))) "counters" listed (Obs.counters obs);
+  let names =
+    List.filter_map
+      (fun line ->
+        match Jsonl.parse line with
+        | Ok j -> Jsonl.(to_string_opt (member "name" j))
+        | Error e -> Alcotest.failf "bad metric line: %s" e)
+      (Jsonl.metric_lines obs)
+  in
+  Alcotest.(check (list string)) "JSONL" (List.map fst listed) names
+
+let test_histogram_handle_listed_after_first_sample () =
+  let obs = Obs.create () in
+  let h = Obs.histogram obs "lat" in
+  Alcotest.(check int) "not listed before a sample" 0 (List.length (Obs.histograms obs));
+  Alcotest.(check bool) "no summary" true (Obs.histogram_summary obs "lat" = None);
+  Alcotest.(check int) "no metric line" 0 (List.length (Jsonl.metric_lines obs));
+  Obs.sample obs h 0.5;
+  Alcotest.(check (list string)) "listed after one" [ "lat" ]
+    (List.map fst (Obs.histograms obs))
+
+let test_noop_handles_write_nothing () =
+  let c = Obs.counter Obs.noop "a" and h = Obs.histogram Obs.noop "h" in
+  Obs.bump Obs.noop c;
+  Obs.add Obs.noop c 3;
+  Obs.sample Obs.noop h 1.0;
+  Obs.sample_since Obs.noop h Time.zero;
+  Alcotest.(check int) "no counter" 0 (Obs.counter_value Obs.noop "a");
+  Alcotest.(check (list (pair string int))) "no counters" [] (Obs.counters Obs.noop);
+  Alcotest.(check int) "no histograms" 0 (List.length (Obs.histograms Obs.noop))
+
+(* Replay restores a sink under protocol modules that resolved their
+   handles when the world was built: the refill must keep every slot. *)
+let test_handles_survive_restore () =
+  let obs = Obs.create () in
+  (* Resolved against name order, so a rebuild that re-slots the names
+     (sorted, as the snapshot lists them) would swap the two handles. *)
+  let z = Obs.counter obs "z" and a = Obs.counter obs "a" in
+  let h = Obs.histogram obs "h" in
+  Obs.bump obs z;
+  Obs.add obs a 5;
+  Obs.sample obs h 1.0;
+  let snap = Obs.snapshot obs in
+  Obs.add obs z 10;
+  Obs.sample obs h 2.0;
+  Obs.incr obs "only.after";
+  Obs.restore obs snap;
+  Alcotest.(check (list (pair string int))) "restored" [ ("a", 5); ("z", 1) ]
+    (Obs.counters obs);
+  Obs.bump obs z;
+  Obs.sample obs h 3.0;
+  Alcotest.(check (list (pair string int))) "handles count on" [ ("a", 5); ("z", 2) ]
+    (Obs.counters obs);
+  Alcotest.(check (list (float 0.))) "histogram handle samples on" [ 1.0; 3.0 ]
+    (Repro_obs.Histogram.samples (List.assoc "h" (Obs.histograms obs)))
+
+let test_bump_allocates_nothing () =
+  let obs = Obs.create () in
+  let c = Obs.counter obs "hot" in
+  let before = Gc.minor_words () in
+  for i = 1 to 10_000 do
+    if i land 1 = 0 then Obs.bump obs c else Obs.add obs c 2
+  done;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check int) "bumped" 15_000 (Obs.counter_value obs "hot");
+  Alcotest.(check (float 0.)) "minor words" 0.0 words
+
 (* ---- JSONL round-trip ---- *)
 
 let str_field name j = Jsonl.(to_string_opt (member name j))
@@ -362,6 +453,57 @@ let test_noop_sink_changes_nothing () =
     (Obs.counter_value obs "consensus.decisions" > 0);
   Alcotest.(check bool) "trace non-empty" true (Obs.span_count obs > 0)
 
+(* The per-kind split is counted twice — by [Net_stats] and by the
+   [net.kind_msgs.*] counters — and the per-layer split once more; all
+   three must agree copy for copy. The lossy run puts the channel's acks
+   (the last dense kind) on the wire, the corrupting one puts
+   [tampered-…] kinds that lie outside the dense table. *)
+let check_kind_counts ~what ?(params = Params.default ~n:3) ?(arm = fun _ -> ()) kind =
+  let obs = Obs.create ~max_events:0 () in
+  let group = Group.create ~kind ~params ~obs () in
+  arm group;
+  for i = 0 to 29 do
+    Group.abcast group (i mod 3) ~size:512
+  done;
+  ignore (Group.run_until_quiescent group ~limit:(Time.span_s 3) ());
+  let stats = Group.stats group in
+  let prefix = "net.kind_msgs." in
+  let from_obs =
+    List.filter_map
+      (fun (name, v) ->
+        if String.starts_with ~prefix name then
+          Some (String.sub name (String.length prefix) (String.length name - String.length prefix), v)
+        else None)
+      (Obs.counters obs)
+  in
+  Alcotest.(check (list (pair string int)))
+    (what ^ ": by_kind = net.kind_msgs.*")
+    (Repro_net.Net_stats.by_kind stats) from_obs;
+  let by_layer =
+    List.fold_left
+      (fun acc l -> acc + Obs.counter_value obs ("net.msgs." ^ Obs.layer_name l))
+      0 Obs.all_layers
+  in
+  Alcotest.(check int) (what ^ ": layers sum to the total")
+    (Repro_net.Net_stats.snapshot stats).Repro_net.Net_stats.messages by_layer;
+  List.map fst from_obs
+
+let test_kind_counts_agree () =
+  List.iter
+    (fun kind ->
+      ignore (check_kind_counts ~what:(Repro_workload.Experiment.kind_name kind) kind))
+    [ Replica.Modular; Replica.Monolithic; Replica.Indirect ];
+  let lossy = { (Params.default ~n:3) with Params.transport = Params.Lossy 0.05 } in
+  let kinds = check_kind_counts ~what:"lossy" ~params:lossy Replica.Modular in
+  Alcotest.(check bool) "lossy run sent channel acks" true (List.mem "channel-ack" kinds);
+  let corrupting group =
+    Repro_fault.Adversary.arm group;
+    Repro_net.Network.set_corrupt_rate (Group.network group) 0.2
+  in
+  let kinds = check_kind_counts ~what:"corrupting" ~arm:corrupting Replica.Modular in
+  Alcotest.(check bool) "tampered kinds counted" true
+    (List.exists (String.starts_with ~prefix:"tampered-") kinds)
+
 (* The analytical cross-check of the ISSUE: per-layer counts of a
    deterministic n=3 modular run against Analysis.Model, layer by layer. *)
 let test_layer_counts_match_model () =
@@ -406,6 +548,19 @@ let () =
           Alcotest.test_case "counters and gauges" `Quick test_counters_and_gauges;
           Alcotest.test_case "noop records nothing" `Quick test_noop_records_nothing;
         ] );
+      ( "handles",
+        [
+          Alcotest.test_case "handle and name share a metric" `Quick
+            test_handle_and_name_share_a_counter;
+          Alcotest.test_case "unbumped handle is invisible" `Quick
+            test_unbumped_handle_is_invisible;
+          Alcotest.test_case "histogram listed after a sample" `Quick
+            test_histogram_handle_listed_after_first_sample;
+          Alcotest.test_case "noop handles write nothing" `Quick
+            test_noop_handles_write_nothing;
+          Alcotest.test_case "handles survive restore" `Quick test_handles_survive_restore;
+          Alcotest.test_case "bumps allocate nothing" `Quick test_bump_allocates_nothing;
+        ] );
       ( "jsonl",
         [
           Alcotest.test_case "metrics round-trip" `Quick test_jsonl_metrics_roundtrip;
@@ -421,5 +576,6 @@ let () =
             test_noop_sink_changes_nothing;
           Alcotest.test_case "layer counts match Model" `Quick
             test_layer_counts_match_model;
+          Alcotest.test_case "kind counts agree" `Quick test_kind_counts_agree;
         ] );
     ]

@@ -139,6 +139,33 @@ let test_experiment_deterministic () =
   Alcotest.(check (float 1e-12)) "same throughput" a.Experiment.throughput
     b.Experiment.throughput
 
+(* Ablation A1's names mix ASCII with "§" (two bytes in UTF-8), so a
+   byte-counted pad would shift the column rule row by row. *)
+let test_ablation_rows_aligned () =
+  let r =
+    Experiment.run
+      (Experiment.config ~kind:Replica.Monolithic ~n:3 ~offered_load:200.0 ~size:1024
+         ~warmup_s:0.1 ~measure_s:0.2 ())
+  in
+  (* Code points before the first '|': a continuation byte (10xxxxxx)
+     does not start a character. *)
+  let bar_column row =
+    let bar = String.index row '|' in
+    let col = ref 0 in
+    for i = 0 to bar - 1 do
+      if Char.code row.[i] land 0xC0 <> 0x80 then incr col
+    done;
+    !col
+  in
+  List.iter
+    (fun width ->
+      List.iter
+        (fun (name, _) ->
+          Alcotest.(check int) name (width + 1)
+            (bar_column (Experiment.ablation_row ~width name r)))
+        Params.mono_ablations)
+    [ 24; 26 ]
+
 let () =
   Alcotest.run "workload"
     [
@@ -164,5 +191,6 @@ let () =
             test_experiment_monolithic_beats_modular;
           Alcotest.test_case "deterministic given a seed" `Quick
             test_experiment_deterministic;
+          Alcotest.test_case "ablation rows aligned" `Quick test_ablation_rows_aligned;
         ] );
     ]
