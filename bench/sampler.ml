@@ -4,7 +4,8 @@
      ./_build/default/bench/sampler.exe --stack modular -n 3 --load 2000 \
          --size 1024 --measure 8 --sink metrics
 
-   Every 1/HZ s of process CPU time the kernel sends SIGPROF. OCaml runs
+   Every millisecond of process CPU time the kernel sends SIGPROF (the
+   kernel's timer tick may deliver fewer; use [--repeat] for more). OCaml runs
    the handler at the interrupted code's next poll point (an allocation
    or a loop back-edge), where it takes the call stack and counts the
    innermost OCaml frame together with its caller. At exit the counts are
@@ -26,11 +27,8 @@ let stack = ref "modular"
 let n = ref 3
 let load = ref 2000.0
 let size = ref 1024
-let warmup = ref 1.0
 let measure = ref 8.0
-let seed = ref 1
 let sink = ref "metrics"
-let hz = ref 1000
 let top = ref 30
 let repeat = ref 1
 
@@ -40,13 +38,10 @@ let specs =
     ("-n", Arg.Set_int n, "N group size (default 3)");
     ("--load", Arg.Set_float load, "R offered load, msgs/s, Poisson (default 2000)");
     ("--size", Arg.Set_int size, "B payload bytes (default 1024)");
-    ("--warmup", Arg.Set_float warmup, "S virtual warm-up seconds (default 1)");
     ("--measure", Arg.Set_float measure, "S virtual measured seconds (default 8)");
-    ("--seed", Arg.Set_int seed, "K run seed (default 1)");
     ( "--sink",
       Arg.Symbol ([ "none"; "metrics"; "trace" ], fun s -> sink := s),
       " observability: none, counters only (default), or counters and spans" );
-    ("--hz", Arg.Set_int hz, "HZ samples per CPU second (default 1000)");
     ("--top", Arg.Set_int top, "K rows printed per table (default 30)");
     ("--repeat", Arg.Set_int repeat, "K run the cell K times, for more samples (default 1)");
   ]
@@ -101,8 +96,8 @@ let () =
     | _ -> Obs.create ~max_events:0 ()
   in
   let config =
-    Experiment.config ~kind ~n:!n ~offered_load:!load ~size:!size ~warmup_s:!warmup
-      ~measure_s:!measure ~seed:!seed ~arrival:Generator.Poisson ()
+    Experiment.config ~kind ~n:!n ~offered_load:!load ~size:!size ~measure_s:!measure
+      ~arrival:Generator.Poisson ()
   in
   let pairs : (string, int) Hashtbl.t = Hashtbl.create 256 in
   let total = ref 0 in
@@ -126,10 +121,9 @@ let () =
     Hashtbl.replace pairs key (1 + Option.value ~default:0 (Hashtbl.find_opt pairs key))
   in
   Sys.set_signal Sys.sigprof (Sys.Signal_handle on_sample);
-  let period = 1.0 /. float_of_int (max 1 !hz) in
   let timer on = { Unix.it_interval = on; it_value = on } in
   let t0 = Unix.gettimeofday () in
-  ignore (Unix.setitimer Unix.ITIMER_PROF (timer period));
+  ignore (Unix.setitimer Unix.ITIMER_PROF (timer 0.001));
   let events = ref 0 in
   for _ = 1 to max 1 !repeat do
     events := !events + (Experiment.run ~obs config).Experiment.events_executed

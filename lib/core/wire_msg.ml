@@ -11,12 +11,6 @@ let rec payload_bytes = function
   | Frame (Rchannel.Ack _) -> 16
   | Tampered inner -> payload_bytes inner
 
-let rec kind = function
-  | Plain m -> Msg.kind m
-  | Frame (Rchannel.Data { payload; _ }) -> Msg.kind payload
-  | Frame (Rchannel.Ack _) -> "channel-ack"
-  | Tampered inner -> "tampered-" ^ kind inner
-
 let rec layer = function
   | Plain m -> Msg.layer m
   | Frame (Rchannel.Data { payload; _ }) -> Msg.layer payload
@@ -33,3 +27,8 @@ let kind_index = function
   | Frame (Rchannel.Data { payload; _ }) -> Msg.kind_index payload
   | Frame (Rchannel.Ack _) -> channel_ack
   | Tampered _ -> -1
+
+(* Read off the table, so a copy's name and its slot cannot disagree. *)
+let rec kind = function
+  | Tampered inner -> "tampered-" ^ kind inner
+  | w -> kind_names.(kind_index w)

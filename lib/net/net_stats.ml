@@ -96,4 +96,9 @@ let load t d =
   t.wire <- d.d_wire;
   Array.blit d.d_sent 0 t.sent 0 (Array.length t.sent);
   Array.fill t.kinds 0 (Array.length t.kinds) 0;
-  List.iter (fun (k, v) -> t.kinds.(kind_slot t k) <- v) d.d_kinds
+  List.iter
+    (fun (k, v) ->
+      (* Bind the slot first: [kind_slot] may grow [t.kinds]. *)
+      let slot = kind_slot t k in
+      t.kinds.(slot) <- v)
+    d.d_kinds

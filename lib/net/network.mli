@@ -56,7 +56,9 @@ val create :
     in advance are counted by slot: [kind_index m] is [m]'s position in
     [kind_names] (default: empty), or [-1] for a kind outside that table
     (the default), which is then counted under [kind_of m] on a slower
-    path. [topology] overrides the wire model's uniform propagation
+    path. The three must agree: [kind_names.(kind_index m) = kind_of m]
+    whenever [kind_index m >= 0] ([Msg] and [Wire_msg] derive their
+    [kind] from their table, so theirs do). [topology] overrides the wire model's uniform propagation
     latency per link.
 
     [obs] (default: the no-op sink) receives layer-attributed traffic

@@ -245,7 +245,9 @@ let absorb dst src =
     List.iter (fun (name, v) -> set_gauge dst name v) (gauges src);
     List.iter
       (fun (name, h) ->
-        Histogram.absorb ~into:dst.hists.(hist_slot dst ~edges:(Histogram.edges h) name) h)
+        (* Bind the slot first: [hist_slot] may grow [dst.hists]. *)
+        let slot = hist_slot dst ~edges:(Histogram.edges h) name in
+        Histogram.absorb ~into:dst.hists.(slot) h)
       (histograms src);
     let offset = dst.next_sid in
     let shift sid = if sid = Span.no_parent then sid else sid + offset in
@@ -317,7 +319,9 @@ let restore ?(name = "obs.sink") t s =
     t.hists.(slot) <- Histogram.create ~edges:(Histogram.edges t.hists.(slot)) ()
   done;
   List.iter
-    (fun (k, h) -> t.hists.(hist_slot t ~edges:(Histogram.edges h) k) <- h)
+    (fun (k, h) ->
+      let slot = hist_slot t ~edges:(Histogram.edges h) k in
+      t.hists.(slot) <- h)
     d.od_histograms;
   t.dropped_spans <- d.od_dropped_spans;
   t.next_sid <- d.od_next_sid;

@@ -32,7 +32,8 @@ let make ?(n = 3) ?params () =
   let params = match params with Some p -> p | None -> Params.default ~n in
   let engine = Engine.create () in
   let net =
-    Network.create engine ~kind_of:Msg.kind ~n ~payload_bytes:Msg.payload_bytes ()
+    Network.create engine ~kind_names:Msg.kind_names ~kind_index:Msg.kind_index
+      ~kind_of:Msg.kind ~n ~payload_bytes:Msg.payload_bytes ()
   in
   let procs =
     Array.init n (fun me ->

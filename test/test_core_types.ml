@@ -98,31 +98,63 @@ let test_msg_sizes () =
   Alcotest.(check bool) "piggybacked decision is almost free" true
     (prop_with_decision - prop_alone < 16)
 
+(* One message of every constructor. *)
+let every_msg =
+  [
+    Msg.Heartbeat;
+    Msg.Diffuse (mk 0 0);
+    Msg.Estimate { inst = 0; round = 1; value = Batch.empty; ts = 0 };
+    Msg.Propose { inst = 0; round = 1; value = Batch.empty };
+    Msg.Ack { inst = 0; round = 1 };
+    Msg.Nack { inst = 0; round = 1 };
+    Msg.Decision_tag
+      { meta = { Msg.rb_origin = 0; rb_seq = 0 }; inst = 0; round = 1; value = None };
+    Msg.New_round { inst = 0; round = 2 };
+    Msg.Prop_dec { inst = 0; round = 1; proposal = Batch.empty; decided = None };
+    Msg.Ack_diff { inst = 0; round = 1; piggyback = [] };
+    Msg.Mono_estimate
+      { inst = 0; round = 2; value = Batch.empty; ts = 0; piggyback = [] };
+    Msg.Mono_decision_tag { inst = 0; round = 1 };
+    Msg.To_coord (mk 0 0);
+    Msg.Payload_request { ids = [] };
+    Msg.Payload_push (mk 0 0);
+    Msg.Decision_request { inst = 0 };
+    Msg.Decision_full { inst = 0; value = Batch.empty };
+  ]
+
 let test_msg_kinds_distinct () =
-  let kinds =
-    List.map Msg.kind
-      [
-        Msg.Heartbeat;
-        Msg.Diffuse (mk 0 0);
-        Msg.Estimate { inst = 0; round = 1; value = Batch.empty; ts = 0 };
-        Msg.Propose { inst = 0; round = 1; value = Batch.empty };
-        Msg.Ack { inst = 0; round = 1 };
-        Msg.Nack { inst = 0; round = 1 };
-        Msg.Decision_tag
-          { meta = { Msg.rb_origin = 0; rb_seq = 0 }; inst = 0; round = 1; value = None };
-        Msg.New_round { inst = 0; round = 2 };
-        Msg.Prop_dec { inst = 0; round = 1; proposal = Batch.empty; decided = None };
-        Msg.Ack_diff { inst = 0; round = 1; piggyback = [] };
-        Msg.Mono_estimate
-          { inst = 0; round = 2; value = Batch.empty; ts = 0; piggyback = [] };
-        Msg.Mono_decision_tag { inst = 0; round = 1 };
-        Msg.To_coord (mk 0 0);
-        Msg.Decision_request { inst = 0 };
-        Msg.Decision_full { inst = 0; value = Batch.empty };
-      ]
-  in
+  let kinds = List.map Msg.kind every_msg in
   Alcotest.(check int) "all kinds distinct" (List.length kinds)
     (List.length (List.sort_uniq compare kinds))
+
+(* The network counts a copy by [kind_index] and names it by [kind]; the
+   two must agree, and the index must cover the table exactly. *)
+let test_kind_index_agrees () =
+  let slots = List.map Msg.kind_index every_msg in
+  Alcotest.(check (list int)) "one slot per constructor"
+    (List.init (Array.length Msg.kind_names) Fun.id)
+    (List.sort compare slots);
+  List.iter
+    (fun m ->
+      Alcotest.(check string) "msg name at its slot" (Msg.kind m)
+        Msg.kind_names.(Msg.kind_index m);
+      List.iter
+        (fun w ->
+          Alcotest.(check string) "wire name at its slot" (Wire_msg.kind w)
+            Wire_msg.kind_names.(Wire_msg.kind_index w);
+          Alcotest.(check int) "wire keeps the msg slot" (Msg.kind_index m)
+            (Wire_msg.kind_index w);
+          Alcotest.(check int) "tampered has no slot" (-1)
+            (Wire_msg.kind_index (Wire_msg.Tampered w));
+          Alcotest.(check string) "tampered name" ("tampered-" ^ Msg.kind m)
+            (Wire_msg.kind (Wire_msg.Tampered w)))
+        [ Wire_msg.Plain m; Wire_msg.Frame (Repro_net.Rchannel.Data { seq = 0; payload = m }) ])
+    every_msg;
+  let ack = Wire_msg.Frame (Repro_net.Rchannel.Ack { cumulative = 0 }) in
+  Alcotest.(check int) "channel-ack is last" (Array.length Wire_msg.kind_names - 1)
+    (Wire_msg.kind_index ack);
+  Alcotest.(check string) "channel-ack name" "channel-ack"
+    Wire_msg.kind_names.(Wire_msg.kind_index ack)
 
 let test_msg_pp_smoke () =
   (* The printers must not raise on any constructor. *)
@@ -232,6 +264,7 @@ let () =
         [
           Alcotest.test_case "size model" `Quick test_msg_sizes;
           Alcotest.test_case "kinds distinct" `Quick test_msg_kinds_distinct;
+          Alcotest.test_case "kind index agrees" `Quick test_kind_index_agrees;
           Alcotest.test_case "printers total" `Quick test_msg_pp_smoke;
         ] );
       ( "params",
