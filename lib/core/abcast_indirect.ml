@@ -288,23 +288,3 @@ let snapshot ?name t =
       ("ordered_ids", Snap.Int (App_msg.Id_set.cardinal t.ordered));
       ("buffered_decisions", Snap.Int (List.length decisions));
     ]
-
-let restore ?name t s =
-  let name =
-    match name with
-    | Some n -> n
-    | None -> Printf.sprintf "core.abcast_indirect.p%d" (t.me + 1)
-  in
-  Snap.check s ~name ~version:1;
-  let (d : ab_data) = Snap.unpack_data s in
-  Id_tbl.reset t.payloads;
-  List.iter (fun (id, m) -> Id_tbl.add t.payloads id m) d.ad_payloads;
-  Id_table.assign ~from:d.ad_delivered t.delivered;
-  t.pending <- d.ad_pending;
-  t.ordered <- d.ad_ordered;
-  t.next_decide <- d.ad_next_decide;
-  t.proposed_up_to <- d.ad_proposed_up_to;
-  Hashtbl.reset t.decisions;
-  List.iter (fun (k, v) -> Hashtbl.add t.decisions k v) d.ad_decisions;
-  t.delivered_count <- d.ad_delivered_count
-(* The identifier-fetch timer rides the world blob. *)

@@ -65,6 +65,3 @@ val snapshot : ?name:string -> t -> Repro_sim.Snapshot.section
 (** Default section name ["core.abcast_indirect.p<me>"]. Carries known
     payloads, delivered/pending/ordered identity sets, decision cursor and
     buffered decisions; the fetch timer rides the world blob. *)
-
-val restore : ?name:string -> t -> Repro_sim.Snapshot.section -> unit
-(** @raise Repro_sim.Snapshot.Codec_error on mismatch. *)

@@ -183,19 +183,3 @@ let snapshot ?name t =
       ("pending", Snap.Int (Batch.size t.pending));
       ("buffered_decisions", Snap.Int (List.length decisions));
     ]
-
-let restore ?name t s =
-  let name =
-    match name with
-    | Some n -> n
-    | None -> Printf.sprintf "core.abcast_modular.p%d" (t.me + 1)
-  in
-  Snap.check s ~name ~version:1;
-  let (d : ab_data) = Snap.unpack_data s in
-  t.pending <- d.ad_pending;
-  Id_table.assign ~from:d.ad_delivered t.delivered;
-  t.next_decide <- d.ad_next_decide;
-  t.proposed_up_to <- d.ad_proposed_up_to;
-  Hashtbl.reset t.decisions;
-  List.iter (fun (k, v) -> Hashtbl.add t.decisions k v) d.ad_decisions;
-  t.delivered_count <- d.ad_delivered_count

@@ -59,6 +59,3 @@ val snapshot : ?name:string -> t -> Repro_sim.Snapshot.section
 (** Default section name ["core.abcast_modular.p<me>"]. Carries the
     pending pool, delivered-identity set, decision cursor and buffered
     out-of-order decisions. *)
-
-val restore : ?name:string -> t -> Repro_sim.Snapshot.section -> unit
-(** @raise Repro_sim.Snapshot.Codec_error on mismatch. *)

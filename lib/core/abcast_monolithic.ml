@@ -10,10 +10,12 @@ type inst_state = {
   mutable round : int;
   mutable estimate : Batch.t option;
   mutable ts : int;
-  proposals : (int * Pid.t, Batch.t) Hashtbl.t; (* (round, proposer) -> value *)
+  (* The per-round tables are association lists, newest first: a good run
+     uses one round, so a hash table per instance would be mostly empty. *)
+  mutable proposals : ((int * Pid.t) * Batch.t) list; (* (round, proposer) -> value *)
   mutable acked_rounds : int list;
-  acks : (int, Pid.t list ref) Hashtbl.t;
-  estimates : (int, (Pid.t * (int * Batch.t)) list ref) Hashtbl.t;
+  mutable acks : (int * Pid.t list ref) list;
+  mutable estimates : (int * (Pid.t * (int * Batch.t)) list ref) list;
   mutable estimate_sent : int list;
   mutable proposed_rounds : int list;
   mutable solicited_rounds : int list;
@@ -82,6 +84,30 @@ let steward t =
 
 let am_steward t = steward t = t.me
 
+let proposal s ~round ~proposer =
+  List.find_map
+    (fun ((r, p), v) -> if Int.equal r round && Pid.equal p proposer then Some v else None)
+    s.proposals
+
+let set_proposal s ~round ~proposer v =
+  s.proposals <-
+    ((round, proposer), v)
+    :: List.filter
+         (fun ((r, p), _) -> not (Int.equal r round && Pid.equal p proposer))
+         s.proposals
+
+let round_slot l ~round =
+  List.find_map (fun (r, slot) -> if Int.equal r round then Some slot else None) l
+
+(* The coordinator's ack slot for [round], created empty if absent. *)
+let ack_slot s ~round =
+  match round_slot s.acks ~round with
+  | Some slot -> slot
+  | None ->
+    let slot = ref [] in
+    s.acks <- (round, slot) :: s.acks;
+    slot
+
 let state t inst =
   match Hashtbl.find_opt t.instances inst with
   | Some s -> s
@@ -92,10 +118,10 @@ let state t inst =
         round = 1;
         estimate = None;
         ts = 0;
-        proposals = Hashtbl.create 4;
+        proposals = [];
         acked_rounds = [];
-        acks = Hashtbl.create 4;
-        estimates = Hashtbl.create 4;
+        acks = [];
+        estimates = [];
         estimate_sent = [];
         proposed_rounds = [];
         solicited_rounds = [];
@@ -293,10 +319,10 @@ and maybe_launch t =
       t.pool <- Batch.diff t.pool proposal;
       t.launched <- k;
       s.proposed_rounds <- 1 :: s.proposed_rounds;
-      Hashtbl.replace s.proposals (1, t.me) proposal;
+      set_proposal s ~round:1 ~proposer:t.me proposal;
       s.estimate <- Some proposal;
       s.ts <- 1;
-      Hashtbl.replace s.acks 1 (ref [ t.me ]);
+      ack_slot s ~round:1 := [ t.me ];
       let decided =
         if k = 0 then None
         else
@@ -336,9 +362,9 @@ and post_decide_coordinator t s =
 
 and check_majority t s ~round =
   if s.decided = None && List.mem round s.proposed_rounds then
-    match Hashtbl.find_opt s.acks round with
+    match round_slot s.acks ~round with
     | Some slot when List.length !slot >= Params.majority t.params -> begin
-      match Hashtbl.find_opt s.proposals (round, t.me) with
+      match proposal s ~round ~proposer:t.me with
       | Some value ->
         if round = 1 && t.params.Params.mono.Params.combine_proposal_decision then begin
           mono_decide t s value ~here_round:(Some round);
@@ -383,7 +409,7 @@ and send_estimate t s ~round =
 
 and coordinator_estimates t s ~round =
   let received =
-    match Hashtbl.find_opt s.estimates round with Some slot -> !slot | None -> []
+    match round_slot s.estimates ~round with Some slot -> !slot | None -> []
   in
   match s.estimate with
   | Some v when not (List.mem_assoc t.me received) -> (t.me, (s.ts, v)) :: received
@@ -402,10 +428,10 @@ and maybe_propose_recovery t s ~round =
       | Some value ->
         s.proposed_rounds <- round :: s.proposed_rounds;
         if round > s.round then s.round <- round;
-        Hashtbl.replace s.proposals (round, t.me) value;
+        set_proposal s ~round ~proposer:t.me value;
         s.estimate <- Some value;
         s.ts <- round;
-        Hashtbl.replace s.acks round (ref [ t.me ]);
+        ack_slot s ~round := [ t.me ];
         let sp =
           if Obs.tracing t.obs then
             Obs.span t.obs ~pid:t.me ~layer:`Abcast ~phase:"propose"
@@ -438,7 +464,7 @@ and advance_round t s ~target =
 let handle_decision_tag t ~inst ~round ~proposer =
   let s = state t inst in
   if s.decided = None then
-    match Hashtbl.find_opt s.proposals (round, proposer) with
+    match proposal s ~round ~proposer with
     | Some value -> mono_decide t s value ~here_round:None
     | None ->
       (* Tag without the matching proposal: fetch the value from anyone who
@@ -530,7 +556,7 @@ let handle_prop_dec t ~src ~inst ~round ~proposal ~decided =
   end
   else if round >= s.round then begin
     s.round <- round;
-    Hashtbl.replace s.proposals (round, src) proposal;
+    set_proposal s ~round ~proposer:src proposal;
     if s.estimate = None then s.estimate <- Some proposal;
     if Fd.is_suspected t.fd src then
       advance_round t s ~target:(next_unsuspected_round t ~from:(round + 1))
@@ -561,14 +587,7 @@ let handle_ack_diff t ~src ~inst ~round ~piggyback =
   List.iter (fun m -> pool_add t m) piggyback;
   let s = state t inst in
   (if s.decided = None && List.mem round s.proposed_rounds then begin
-     let slot =
-       match Hashtbl.find_opt s.acks round with
-       | Some slot -> slot
-       | None ->
-         let slot = ref [] in
-         Hashtbl.add s.acks round slot;
-         slot
-     in
+     let slot = ack_slot s ~round in
      if not (List.mem src !slot) then slot := src :: !slot;
      check_majority t s ~round
    end);
@@ -585,10 +604,10 @@ let handle_mono_estimate t ~src ~inst ~round ~ts ~value ~piggyback =
   end
   else if round >= 2 then begin
     if round > s.round then s.round <- round;
-    (match Hashtbl.find_opt s.estimates round with
+    (match round_slot s.estimates ~round with
     | Some slot ->
       if not (List.mem_assoc src !slot) then slot := (src, (ts, value)) :: !slot
-    | None -> Hashtbl.add s.estimates round (ref [ (src, (ts, value)) ]));
+    | None -> s.estimates <- (round, ref [ (src, (ts, value)) ]) :: s.estimates);
     if coord t ~round = t.me then begin
       maybe_propose_recovery t s ~round;
       if not (List.mem round s.proposed_rounds) then solicit t s ~round
@@ -622,13 +641,13 @@ let on_suspicion t suspect =
           let waiting_on =
             (* The process whose silence blocks this instance: the proposer
                we acked in the current round (lowest pid when several
-               proposed, so hash order never picks), or the schedule
+               proposed, so arrival order never picks), or the schedule
                coordinator. *)
             let acked_proposer =
-              Hashtbl.fold
-                (fun (r, p) _ acc -> if r = s.round then p :: acc else acc)
-                s.proposals []
-              |> List.sort compare
+              List.fold_left
+                (fun acc ((r, p), _) -> if Int.equal r s.round then p :: acc else acc)
+                [] s.proposals
+              |> List.sort Pid.compare
               |> function p :: _ -> Some p | [] -> None
             in
             match acked_proposer with Some p -> p | None -> coord t ~round:s.round
@@ -814,28 +833,3 @@ let snapshot ?name t =
        ("buffered_decisions", Snap.Int (List.length decisions_buf));
      ]
     @ decision_window)
-
-let restore ?name t s =
-  let name =
-    match name with
-    | Some n -> n
-    | None -> Printf.sprintf "core.abcast_monolithic.p%d" (t.me + 1)
-  in
-  Snap.check s ~name ~version:1;
-  let (d : ab_data) = Snap.unpack_data s in
-  Hashtbl.reset t.instances;
-  List.iter (fun (k, st) -> Hashtbl.add t.instances k st) d.ad_instances;
-  Id_table.assign ~from:d.ad_delivered t.delivered;
-  t.next_deliver <- d.ad_next_deliver;
-  t.max_decided <- d.ad_max_decided;
-  t.launched <- d.ad_launched;
-  t.pool <- d.ad_pool;
-  t.own_unsent <- d.ad_own_unsent;
-  t.own_outstanding <- d.ad_own_outstanding;
-  Hashtbl.reset t.decisions_buf;
-  List.iter (fun (k, v) -> Hashtbl.add t.decisions_buf k v) d.ad_decisions_buf;
-  t.active_acked <- d.ad_active_acked;
-  t.ack_imminent <- d.ad_ack_imminent;
-  t.delivered_count <- d.ad_delivered_count
-(* kick/catch-up/per-instance progress timers and the [decision_rb]
-   ablation channel ride the world blob. *)

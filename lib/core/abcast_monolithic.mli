@@ -71,6 +71,3 @@ val snapshot : ?name:string -> t -> Repro_sim.Snapshot.section
     consensus instance (timers stripped), the delivery cursor, the
     coordinator pool, and [decision.i<k>] fields rendering the decided
     batches of the most recent instances for bisect's state-diff report. *)
-
-val restore : ?name:string -> t -> Repro_sim.Snapshot.section -> unit
-(** @raise Repro_sim.Snapshot.Codec_error on mismatch. *)

@@ -12,10 +12,12 @@ type inst_state = {
   mutable estimate : Batch.t option;
   mutable ts : int; (* round of last adoption; 0 = initial value, never adopted *)
   mutable started : bool; (* propose () was called locally *)
-  proposals : (int * Pid.t, Batch.t) Hashtbl.t; (* (round, proposer) -> value *)
+  (* The per-round tables are association lists, newest first: a good run
+     uses one round, so a hash table per instance would be mostly empty. *)
+  mutable proposals : ((int * Pid.t) * Batch.t) list; (* (round, proposer) -> value *)
   mutable acked_rounds : int list;
-  acks : (int, Pid.t list ref) Hashtbl.t; (* coordinator side, per round *)
-  estimates : (int, (Pid.t * (int * Batch.t)) list ref) Hashtbl.t;
+  mutable acks : (int * Pid.t list ref) list; (* coordinator side, per round *)
+  mutable estimates : (int * (Pid.t * (int * Batch.t)) list ref) list;
   mutable estimate_sent : int list; (* rounds for which my estimate went out *)
   mutable proposed_rounds : int list; (* rounds I proposed as coordinator *)
   mutable solicited_rounds : int list; (* rounds I broadcast New_round for *)
@@ -48,6 +50,30 @@ type t = {
 
 let coord t ~round = Params.coordinator t.params ~round
 
+let proposal s ~round ~proposer =
+  List.find_map
+    (fun ((r, p), v) -> if Int.equal r round && Pid.equal p proposer then Some v else None)
+    s.proposals
+
+let set_proposal s ~round ~proposer v =
+  s.proposals <-
+    ((round, proposer), v)
+    :: List.filter
+         (fun ((r, p), _) -> not (Int.equal r round && Pid.equal p proposer))
+         s.proposals
+
+let round_slot l ~round =
+  List.find_map (fun (r, slot) -> if Int.equal r round then Some slot else None) l
+
+(* The coordinator's ack slot for [round], created empty if absent. *)
+let ack_slot s ~round =
+  match round_slot s.acks ~round with
+  | Some slot -> slot
+  | None ->
+    let slot = ref [] in
+    s.acks <- (round, slot) :: s.acks;
+    slot
+
 (* The first round >= [from] whose coordinator this process does not
    currently suspect; if it suspects all n coordinators (FD gone wild),
    fall back to [from] and let the round structure sort it out. *)
@@ -71,10 +97,10 @@ let state t inst =
         estimate = None;
         ts = 0;
         started = false;
-        proposals = Hashtbl.create 4;
+        proposals = [];
         acked_rounds = [];
-        acks = Hashtbl.create 4;
-        estimates = Hashtbl.create 4;
+        acks = [];
+        estimates = [];
         estimate_sent = [];
         proposed_rounds = [];
         solicited_rounds = [];
@@ -163,7 +189,7 @@ let reply_decision t s ~dst =
 (* ---- Round progression ---- *)
 
 let estimates_for s ~round =
-  match Hashtbl.find_opt s.estimates round with Some slot -> !slot | None -> []
+  match round_slot s.estimates ~round with Some slot -> !slot | None -> []
 
 (* Deterministic choice among a majority of estimates: maximum lock
    timestamp, then larger batch (so undelivered messages are not dropped
@@ -215,18 +241,10 @@ and maybe_propose t s ~round =
     | Some value ->
       s.proposed_rounds <- round :: s.proposed_rounds;
       if round > s.round then s.round <- round;
-      Hashtbl.replace s.proposals (round, t.me) value;
+      set_proposal s ~round ~proposer:t.me value;
       s.estimate <- Some value;
       s.ts <- round;
-      let slot =
-        match Hashtbl.find_opt s.acks round with
-        | Some slot -> slot
-        | None ->
-          let slot = ref [] in
-          Hashtbl.add s.acks round slot;
-          slot
-      in
-      slot := [ t.me ];
+      ack_slot s ~round := [ t.me ];
       L.debug (fun m ->
           m "%a propose i%d r%d (%d msgs)" Pid.pp t.me s.inst round (Batch.size value));
       Obs.bump t.obs t.c_proposals;
@@ -244,9 +262,9 @@ and maybe_propose t s ~round =
 
 and check_majority t s ~round =
   if s.decided = None && coord t ~round = t.me then
-    match Hashtbl.find_opt s.acks round with
+    match round_slot s.acks ~round with
     | Some slot when List.length !slot >= Params.majority t.params -> begin
-      match Hashtbl.find_opt s.proposals (round, t.me) with
+      match proposal s ~round ~proposer:t.me with
       | Some value ->
         let carried =
           if t.params.Params.modular.Params.decision_tag_only then None else Some value
@@ -359,7 +377,7 @@ let handle_propose t s ~src ~round ~value =
     s.round <- round;
     cancel_timer t s.kick_timer;
     s.kick_timer <- None;
-    Hashtbl.replace s.proposals (round, src) value;
+    set_proposal s ~round ~proposer:src value;
     if s.estimate = None then s.estimate <- Some value;
     if Fd.is_suspected t.fd src then
       advance_round t s ~target:(next_unsuspected_round t ~from:(round + 1))
@@ -385,14 +403,7 @@ let handle_ack t s ~src ~round =
   (* A late ack (after the decision) needs no reply: the decision's
      reliable broadcast reaches the acker anyway. *)
   if s.decided = None && coord t ~round = t.me then begin
-    let slot =
-      match Hashtbl.find_opt s.acks round with
-      | Some slot -> slot
-      | None ->
-        let slot = ref [] in
-        Hashtbl.add s.acks round slot;
-        slot
-    in
+    let slot = ack_slot s ~round in
     if not (List.mem src !slot) then slot := src :: !slot;
     check_majority t s ~round
   end
@@ -410,10 +421,10 @@ let handle_estimate t s ~src ~round ~ts ~value =
   else begin
     let previous_round = s.round in
     if round > s.round then s.round <- round;
-    (match Hashtbl.find_opt s.estimates round with
+    (match round_slot s.estimates ~round with
     | Some slot ->
       if not (List.mem_assoc src !slot) then slot := (src, (ts, value)) :: !slot
-    | None -> Hashtbl.add s.estimates round (ref [ (src, (ts, value)) ]));
+    | None -> s.estimates <- (round, ref [ (src, (ts, value)) ]) :: s.estimates);
     if s.estimate = None then s.estimate <- Some value;
     if coord t ~round = t.me then begin
       maybe_propose t s ~round;
@@ -457,7 +468,7 @@ let rb_deliver t ~proposer ~inst ~round ~value =
     match value with
     | Some v -> decide t s v
     | None -> begin
-      match Hashtbl.find_opt s.proposals (round, proposer) with
+      match proposal s ~round ~proposer with
       | Some v -> decide t s v
       | None ->
         (* §3.2: the tag reached us but the proposal did not (possible only
@@ -540,17 +551,3 @@ let snapshot ?name t =
       ("catchup_from", Snap.Int t.catchup_from);
       ("max_round", Snap.Int max_round);
     ]
-
-let restore ?name t s =
-  let name =
-    match name with
-    | Some n -> n
-    | None -> Printf.sprintf "core.consensus.p%d" (t.me + 1)
-  in
-  Snap.check s ~name ~version:1;
-  let (d : cons_data) = Snap.unpack_data s in
-  Hashtbl.reset t.instances;
-  List.iter (fun (k, st) -> Hashtbl.add t.instances k st) d.cd_instances;
-  t.max_decided <- d.cd_max_decided;
-  t.catchup_from <- d.cd_catchup_from
-(* kick/progress/catchup timers ride the world blob. *)

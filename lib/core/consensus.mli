@@ -85,8 +85,3 @@ val snapshot : ?name:string -> t -> Repro_sim.Snapshot.section
     instance table (counts, highest decided, catch-up low-water mark,
     highest active round); the bulk payload carries every instance's full
     round state with timer handles stripped. *)
-
-val restore : ?name:string -> t -> Repro_sim.Snapshot.section -> unit
-(** Rebuild the instance table from the payload. Round kick, progress and
-    catch-up timers ride the world blob.
-    @raise Repro_sim.Snapshot.Codec_error on mismatch. *)

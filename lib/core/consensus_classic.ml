@@ -10,10 +10,11 @@ type inst_state = {
   mutable estimate : Batch.t option;
   mutable ts : int;
   mutable started : bool;
-  proposals : (int * Pid.t, Batch.t) Hashtbl.t;
+  (* Per-round association lists, newest first (a good run uses one). *)
+  mutable proposals : ((int * Pid.t) * Batch.t) list;
   mutable acked_rounds : int list; (* rounds answered with ack OR nack *)
-  acks : (int, Pid.t list ref) Hashtbl.t;
-  estimates : (int, (Pid.t * (int * Batch.t)) list ref) Hashtbl.t;
+  mutable acks : (int * Pid.t list ref) list;
+  mutable estimates : (int * (Pid.t * (int * Batch.t)) list ref) list;
   mutable proposed_rounds : int list;
   mutable decided : Batch.t option;
   mutable pending_requesters : Pid.t list;
@@ -43,6 +44,29 @@ type t = {
 
 let coord t ~round = Params.coordinator t.params ~round
 
+let proposal s ~round ~proposer =
+  List.find_map
+    (fun ((r, p), v) -> if Int.equal r round && Pid.equal p proposer then Some v else None)
+    s.proposals
+
+let set_proposal s ~round ~proposer v =
+  s.proposals <-
+    ((round, proposer), v)
+    :: List.filter
+         (fun ((r, p), _) -> not (Int.equal r round && Pid.equal p proposer))
+         s.proposals
+
+let round_slot l ~round =
+  List.find_map (fun (r, slot) -> if Int.equal r round then Some slot else None) l
+
+let ack_slot s ~round =
+  match round_slot s.acks ~round with
+  | Some slot -> slot
+  | None ->
+    let slot = ref [] in
+    s.acks <- (round, slot) :: s.acks;
+    slot
+
 let next_unsuspected_round t ~from =
   let rec scan r tries =
     if tries = 0 then from
@@ -63,10 +87,10 @@ let state t inst =
         estimate = None;
         ts = 0;
         started = false;
-        proposals = Hashtbl.create 4;
+        proposals = [];
         acked_rounds = [];
-        acks = Hashtbl.create 4;
-        estimates = Hashtbl.create 4;
+        acks = [];
+        estimates = [];
         proposed_rounds = [];
         decided = None;
         pending_requesters = [];
@@ -139,9 +163,9 @@ let reply_decision t s ~dst =
   | None -> ()
 
 let record_estimate s ~round ~src ~ts ~value =
-  match Hashtbl.find_opt s.estimates round with
+  match round_slot s.estimates ~round with
   | Some slot -> if not (List.mem_assoc src !slot) then slot := (src, (ts, value)) :: !slot
-  | None -> Hashtbl.add s.estimates round (ref [ (src, (ts, value)) ])
+  | None -> s.estimates <- (round, ref [ (src, (ts, value)) ]) :: s.estimates
 
 let choose_estimate ests =
   let better (p1, (ts1, v1)) (p2, (ts2, v2)) =
@@ -166,17 +190,17 @@ let rec try_propose t s ~round =
     && not (List.mem round s.proposed_rounds)
   then begin
     let ests =
-      match Hashtbl.find_opt s.estimates round with Some slot -> !slot | None -> []
+      match round_slot s.estimates ~round with Some slot -> !slot | None -> []
     in
     if List.length ests >= Params.majority t.params then
       match choose_estimate ests with
       | None -> ()
       | Some value ->
         s.proposed_rounds <- round :: s.proposed_rounds;
-        Hashtbl.replace s.proposals (round, t.me) value;
+        set_proposal s ~round ~proposer:t.me value;
         s.estimate <- Some value;
         s.ts <- round;
-        Hashtbl.replace s.acks round (ref [ t.me ]);
+        ack_slot s ~round := [ t.me ];
         Obs.bump t.obs t.c_proposals;
         let sp =
           if Obs.tracing t.obs then
@@ -192,9 +216,9 @@ let rec try_propose t s ~round =
 
 and check_majority t s ~round =
   if s.decided = None && List.mem round s.proposed_rounds then
-    match Hashtbl.find_opt s.acks round with
+    match round_slot s.acks ~round with
     | Some slot when List.length !slot >= Params.majority t.params -> begin
-      match Hashtbl.find_opt s.proposals (round, t.me) with
+      match proposal s ~round ~proposer:t.me with
       | Some value ->
         (* Classical: the full decided value is reliably broadcast; the
            local decision arrives through the rbcast local delivery. *)
@@ -273,7 +297,7 @@ let handle_propose t s ~src ~round ~value =
   then begin
     if s.round = 0 then s.round <- round;
     if round > s.round then s.round <- round;
-    Hashtbl.replace s.proposals (round, src) value;
+    set_proposal s ~round ~proposer:src value;
     s.acked_rounds <- round :: s.acked_rounds;
     if Fd.is_suspected t.fd src then begin
       t.send ~dst:src (Msg.Nack { inst = s.inst; round });
@@ -299,9 +323,8 @@ let handle_propose t s ~src ~round ~value =
 
 let handle_ack t s ~src ~round =
   if s.decided = None && coord t ~round = t.me then begin
-    (match Hashtbl.find_opt s.acks round with
-    | Some slot -> if not (List.mem src !slot) then slot := src :: !slot
-    | None -> Hashtbl.add s.acks round (ref [ src ]));
+    let slot = ack_slot s ~round in
+    if not (List.mem src !slot) then slot := src :: !slot;
     check_majority t s ~round
   end
 
@@ -359,7 +382,7 @@ let rb_deliver t ~proposer ~inst ~round ~value =
     match value with
     | Some v -> decide t s v
     | None -> begin
-      match Hashtbl.find_opt s.proposals (round, proposer) with
+      match proposal s ~round ~proposer with
       | Some v -> decide t s v
       | None -> t.broadcast (Msg.Decision_request { inst })
     end
@@ -437,17 +460,3 @@ let snapshot ?name t =
       ("catchup_from", Snap.Int t.catchup_from);
       ("max_round", Snap.Int max_round);
     ]
-
-let restore ?name t s =
-  let name =
-    match name with
-    | Some n -> n
-    | None -> Printf.sprintf "core.consensus_classic.p%d" (t.me + 1)
-  in
-  Snap.check s ~name ~version:1;
-  let (d : cons_data) = Snap.unpack_data s in
-  Hashtbl.reset t.instances;
-  List.iter (fun (k, st) -> Hashtbl.add t.instances k st) d.cd_instances;
-  t.max_decided <- d.cd_max_decided;
-  t.catchup_from <- d.cd_catchup_from
-(* progress and catch-up timers ride the world blob. *)

@@ -58,6 +58,3 @@ val rounds_used : t -> inst:int -> int
 val snapshot : ?name:string -> t -> Repro_sim.Snapshot.section
 (** Default section name ["core.consensus_classic.p<me>"]; same layout as
     {!Consensus.snapshot}. *)
-
-val restore : ?name:string -> t -> Repro_sim.Snapshot.section -> unit
-(** @raise Repro_sim.Snapshot.Codec_error on mismatch. *)

@@ -29,11 +29,3 @@ let snapshot ~name t =
       ("window", Repro_sim.Snapshot.Int t.window);
       ("in_flight", Repro_sim.Snapshot.Int t.in_flight);
     ]
-
-let restore ~name t s =
-  Repro_sim.Snapshot.check s ~name ~version:1;
-  if Repro_sim.Snapshot.get_int s "window" <> t.window then
-    raise
-      (Repro_sim.Snapshot.Codec_error
-         (name ^ ": snapshot taken with a different window size"));
-  t.in_flight <- Repro_sim.Snapshot.get_int s "in_flight"

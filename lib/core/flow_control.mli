@@ -32,7 +32,3 @@ val set_on_space : t -> (unit -> unit) -> unit
 val snapshot : name:string -> t -> Repro_sim.Snapshot.section
 (** Window size and in-flight count. The [on_space] callback is wiring,
     not state, and rides the world blob. *)
-
-val restore : name:string -> t -> Repro_sim.Snapshot.section -> unit
-(** @raise Repro_sim.Snapshot.Codec_error on mismatch, including a
-    changed window size. *)

@@ -125,24 +125,14 @@ module Snap = Snapshot
 
 type grp_data = { gd_seen : Id_table.t; gd_rev_latencies : latency_record list }
 
-let section_name = "core.group"
-
 let snapshot t =
-  Snap.make ~name:section_name ~version:1
+  Snap.make ~name:"core.group" ~version:1
     ~data:(Snap.pack { gd_seen = t.seen; gd_rev_latencies = t.rev_latencies })
     [
       ("n", Snap.Int t.params.Params.n);
       ("distinct_delivered", Snap.Int (Id_table.population t.seen));
       ("latency_records", Snap.Int (List.length t.rev_latencies));
     ]
-
-let restore t s =
-  Snap.check s ~name:section_name ~version:1;
-  if Snap.get_int s "n" <> t.params.Params.n then
-    raise (Snap.Codec_error (section_name ^ ": snapshot taken with a different n"));
-  let (d : grp_data) = Snap.unpack_data s in
-  Id_table.assign ~from:d.gd_seen t.seen;
-  t.rev_latencies <- d.gd_rev_latencies
 
 (* The whole world, one section per module: engine (clock, RNG, queue
    residency), per-node CPUs, network, every replica's mounted modules,
@@ -162,26 +152,3 @@ let sections t =
       (fun pid -> Replica.sections t.replicas.(pid))
       (Pid.all ~n:t.params.Params.n)
   @ [ snapshot t ]
-
-let restore_sections t sections =
-  let by_name name =
-    List.find_opt (fun (s : Snap.section) -> String.equal s.name name) sections
-  in
-  let req name f =
-    match by_name name with
-    | Some s -> f s
-    | None -> raise (Snap.Codec_error ("missing section " ^ name))
-  in
-  req "sim.engine" (Engine.restore t.engine);
-  req "sim.engine.rng" (Engine.rng_restore t.engine);
-  req "sim.event_queue" (Engine.queue_restore t.engine);
-  List.iter
-    (fun pid ->
-      let name = Printf.sprintf "sim.cpu.p%d" (pid + 1) in
-      req name (Cpu.restore ~name (Network.cpu t.network pid)))
-    (Pid.all ~n:t.params.Params.n);
-  req Network.section_name (Network.restore t.network);
-  List.iter
-    (fun pid -> Replica.restore_sections t.replicas.(pid) sections)
-    (Pid.all ~n:t.params.Params.n);
-  req section_name (restore t)

@@ -86,18 +86,8 @@ val mean_batch_size : t -> float
 val snapshot : t -> Repro_sim.Snapshot.section
 (** The group's own section, ["core.group"]: the first-delivery ledger. *)
 
-val restore : t -> Repro_sim.Snapshot.section -> unit
-(** @raise Repro_sim.Snapshot.Codec_error on mismatch. *)
-
 val sections : t -> Repro_sim.Snapshot.section list
 (** One section per module for the whole world, in a fixed order: engine
     (clock, root RNG, event-queue residency), per-node CPUs, network,
     every replica's mounted modules, then the group ledger. This is the
     frame metadata [Repro_replay] persists and [repro bisect] diffs. *)
-
-val restore_sections : t -> Repro_sim.Snapshot.section list -> unit
-(** Re-seat the whole world's serializable state from {!sections}-shaped
-    output (pending-event {e contents} ride the replay driver's world
-    blob; see [lib/replay]).
-    @raise Repro_sim.Snapshot.Codec_error on a missing section or any
-    per-module mismatch. *)

@@ -52,8 +52,3 @@ let population t =
       Bytes.iter (fun c -> total := !total + bits_of_byte.(Char.code c)) row;
       !total)
     0 t.rows
-
-let assign ~from t =
-  if Array.length t.rows <> Array.length from.rows then
-    invalid_arg "Id_table.assign: group size mismatch";
-  Array.iteri (fun i row -> t.rows.(i) <- Bytes.copy row) from.rows

@@ -32,7 +32,3 @@ val add : t -> origin:int -> seq:int -> unit
 val population : t -> int
 (** Number of identities in the table. Content-driven arithmetic — no
     iteration order is exposed. Used by snapshot sections. *)
-
-val assign : from:t -> t -> unit
-(** Overwrite [t]'s contents with [from]'s (restore path).
-    @raise Invalid_argument if the origin counts differ. *)

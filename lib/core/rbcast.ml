@@ -100,11 +100,3 @@ let snapshot ?name t =
       ("next_seq", Snap.Int t.next_seq);
       ("seen", Snap.Int (Id_table.population t.seen));
     ]
-
-let restore ?name t s =
-  let name =
-    match name with Some n -> n | None -> Printf.sprintf "core.rbcast.p%d" (t.me + 1)
-  in
-  Snap.check s ~name ~version:1;
-  t.next_seq <- Snap.get_int s "next_seq";
-  Id_table.assign ~from:(Snap.unpack_data s) t.seen

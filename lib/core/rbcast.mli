@@ -57,6 +57,3 @@ val snapshot : ?name:string -> 'p t -> Repro_sim.Snapshot.section
 (** Default section name ["core.rbcast.p<me>"]; stacks that mount several
     rbcast instances pass their own. Carries the rdelivered identity set
     and the next local sequence number. *)
-
-val restore : ?name:string -> 'p t -> Repro_sim.Snapshot.section -> unit
-(** @raise Repro_sim.Snapshot.Codec_error on mismatch. *)

@@ -17,7 +17,6 @@ type consensus_impl = {
   c_receive : src:Pid.t -> Msg.t -> unit;
   c_rb_deliver : proposer:Pid.t -> inst:int -> round:int -> value:Batch.t option -> unit;
   c_snapshot : unit -> Snapshot.section;
-  c_restore : Snapshot.section -> unit;
 }
 
 type stack_impl =
@@ -236,7 +235,6 @@ let create ~kind ~params ~net ~me ?(fd_mode = `Good_run) ?(record_deliveries = t
           (fun ~proposer ~inst ~round ~value ->
             Consensus.rb_deliver c ~proposer ~inst ~round ~value);
         c_snapshot = (fun () -> Consensus.snapshot c);
-        c_restore = (fun s -> Consensus.restore c s);
       }
     | Params.Ct_classic ->
       let c =
@@ -250,7 +248,6 @@ let create ~kind ~params ~net ~me ?(fd_mode = `Good_run) ?(record_deliveries = t
           (fun ~proposer ~inst ~round ~value ->
             Consensus_classic.rb_deliver c ~proposer ~inst ~round ~value);
         c_snapshot = (fun () -> Consensus_classic.snapshot c);
-        c_restore = (fun s -> Consensus_classic.restore c s);
       }
   in
   let impl =
@@ -469,11 +466,9 @@ let kind_name = function
   | Monolithic -> "monolithic"
   | Indirect -> "indirect"
 
-let own_section_name t = Printf.sprintf "core.replica.p%d" (t.me + 1)
-
 let snapshot t =
   let offers = List.rev (Queue.fold (fun acc s -> s :: acc) [] t.offers) in
-  Snap.make ~name:(own_section_name t) ~version:1
+  Snap.make ~name:(Printf.sprintf "core.replica.p%d" (t.me + 1)) ~version:1
     ~data:
       (Snap.pack
          {
@@ -494,23 +489,6 @@ let snapshot t =
       ("delivered_count", Snap.Int t.delivered_count);
       ("queued_offers", Snap.Int (Queue.length t.offers));
     ]
-
-let restore t s =
-  Snap.check s ~name:(own_section_name t) ~version:1;
-  if not (String.equal (Snap.get_string s "kind") (kind_name t.kind)) then
-    raise
-      (Snap.Codec_error
-         (own_section_name t ^ ": snapshot taken with stack kind "
-        ^ Snap.get_string s "kind"));
-  let (d : rep_data) = Snap.unpack_data s in
-  Queue.clear t.offers;
-  List.iter (fun sz -> Queue.push sz t.offers) d.pd_offers;
-  t.next_seq <- d.pd_next_seq;
-  t.offered <- d.pd_offered;
-  t.admitted <- d.pd_admitted;
-  t.delivered_count <- d.pd_delivered_count;
-  t.rev_deliveries <- d.pd_rev_deliveries;
-  t.crashed <- d.pd_crashed
 
 (* The whole per-process state, one section per mounted module, in a fixed
    order (replica, flow, rchannel, fd, bus, then the stack's protocol
@@ -537,46 +515,3 @@ let sections t =
     | Some (Monolithic_stack { mono; _ }) -> [ Abcast_monolithic.snapshot mono ]
   in
   base @ rchannel @ fd @ [ bus ] @ stack
-
-let restore_sections t sections =
-  let p = t.me + 1 in
-  let by_name name = List.find_opt (fun (s : Snap.section) -> String.equal s.name name) sections in
-  let req name f =
-    match by_name name with
-    | Some s -> f s
-    | None -> raise (Snap.Codec_error ("missing section " ^ name))
-  in
-  let opt name f = match by_name name with Some s -> f s | None -> () in
-  req (own_section_name t) (restore t);
-  req
-    (Printf.sprintf "core.replica.p%d.flow" p)
-    (Flow_control.restore ~name:(Printf.sprintf "core.replica.p%d.flow" p) t.flow);
-  (match t.rchannel with
-  | Some ch -> req (Printf.sprintf "net.rchannel.p%d" p) (Rchannel.restore ch)
-  | None -> ());
-  (match t.heartbeat with
-  | Some hb -> req (Printf.sprintf "fd.heartbeat.p%d" p) (Heartbeat_fd.restore hb)
-  | None -> ());
-  opt
-    (Printf.sprintf "framework.bus.p%d" p)
-    (Event_bus.restore ~name:(Printf.sprintf "framework.bus.p%d" p) (Stack.bus t.stack));
-  match t.impl with
-  | None -> ()
-  | Some (Modular_stack { abcast; consensus; _ }) ->
-    req (Printf.sprintf "core.abcast_modular.p%d" p) (Abcast_modular.restore abcast);
-    req (Printf.sprintf "core.consensus.p%d" p) consensus.c_restore;
-    req (Printf.sprintf "core.rbcast.p%d" p)
-      (fun s ->
-        match t.impl with
-        | Some (Modular_stack { rbcast; _ }) -> Rbcast.restore rbcast s
-        | _ -> ())
-  | Some (Indirect_stack { abcast; consensus; _ }) ->
-    req (Printf.sprintf "core.abcast_indirect.p%d" p) (Abcast_indirect.restore abcast);
-    req (Printf.sprintf "core.consensus.p%d" p) consensus.c_restore;
-    req (Printf.sprintf "core.rbcast.p%d" p)
-      (fun s ->
-        match t.impl with
-        | Some (Indirect_stack { rbcast; _ }) -> Rbcast.restore rbcast s
-        | _ -> ())
-  | Some (Monolithic_stack { mono; _ }) ->
-    req (Printf.sprintf "core.abcast_monolithic.p%d" p) (Abcast_monolithic.restore mono)

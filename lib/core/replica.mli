@@ -96,18 +96,7 @@ val snapshot : t -> Repro_sim.Snapshot.section
 (** The replica's own section, ["core.replica.p<me>"]: admission queue,
     sequence allocator, delivery log and crash flag. *)
 
-val restore : t -> Repro_sim.Snapshot.section -> unit
-(** @raise Repro_sim.Snapshot.Codec_error on mismatch (including a
-    snapshot taken with a different stack kind). *)
-
 val sections : t -> Repro_sim.Snapshot.section list
 (** Every mounted module's section in a fixed order: replica, flow
     control, reliable channel (lossy transport only), failure detector (if
     any), event bus, then the stack's protocol modules top-down. *)
-
-val restore_sections : t -> Repro_sim.Snapshot.section list -> unit
-(** Re-seat every mounted module from [sections]-shaped output. Sections
-    for modules this replica does not mount are ignored; sections it does
-    mount must be present.
-    @raise Repro_sim.Snapshot.Codec_error on a missing section or any
-    per-module mismatch. *)

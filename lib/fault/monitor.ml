@@ -265,30 +265,3 @@ let snapshot ?(name = "fault.monitor") t =
       ("tampered_detected", Snap.Int t.tampered_detected);
       ("tampered_silent", Snap.Int t.tampered_silent);
     ]
-
-let restore ?(name = "fault.monitor") t s =
-  Snap.check s ~name ~version:1;
-  let (d : mon_data) = Snap.unpack_data s in
-  if Array.length d.md_counts <> t.n then
-    raise (Snap.Codec_error (name ^ ": snapshot taken with a different group size"));
-  Array.blit d.md_rev_logs 0 t.rev_logs 0 t.n;
-  Array.blit d.md_counts 0 t.counts 0 t.n;
-  Array.iteri
-    (fun i seen ->
-      Hashtbl.reset t.seen.(i);
-      Hashtbl.fold (fun k () acc -> k :: acc) seen []
-      |> List.sort App_msg.compare_id
-      |> List.iter (fun k -> Hashtbl.add t.seen.(i) k ()))
-    d.md_seen;
-  t.global <- Array.copy d.md_global;
-  t.global_len <- d.md_global_len;
-  (if t.global_len = 0 then t.global <- Array.make 64 { App_msg.origin = 0; seq = -1 });
-  Hashtbl.reset t.fingerprints;
-  Hashtbl.fold (fun k v acc -> (k, v) :: acc) d.md_fingerprints []
-  |> List.sort (fun (a, _) (b, _) -> App_msg.compare_id a b)
-  |> List.iter (fun (k, v) -> Hashtbl.add t.fingerprints k v);
-  t.tampered_detected <- d.md_tampered_detected;
-  t.tampered_silent <- d.md_tampered_silent;
-  t.rev_violations <- d.md_rev_violations
-(* [clock] and [admitted_of] are wiring closures installed by [attach];
-   they ride the world blob. *)

@@ -133,6 +133,3 @@ val snapshot : ?name:string -> t -> Repro_sim.Snapshot.section
     is the key [repro bisect] binary-searches over the frame log; the bulk
     payload carries the full delivery logs, global order, fingerprints and
     violation records. *)
-
-val restore : ?name:string -> t -> Repro_sim.Snapshot.section -> unit
-(** @raise Repro_sim.Snapshot.Codec_error on mismatch. *)

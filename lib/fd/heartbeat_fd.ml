@@ -131,22 +131,3 @@ let snapshot ?name t =
           (Array.to_list
              (Array.map (fun p -> Snap.Int (Time.span_to_ns p.timeout)) t.peers)) );
     ]
-
-let restore ?name t s =
-  let name =
-    match name with
-    | Some n -> n
-    | None -> Printf.sprintf "fd.heartbeat.p%d" (t.me + 1)
-  in
-  Snap.check s ~name ~version:1;
-  let (d : hb_data) = Snap.unpack_data s in
-  if Array.length d.hd_peers <> Array.length t.peers then
-    raise (Snap.Codec_error (name ^ ": snapshot taken with a different group size"));
-  Array.iteri
-    (fun i p ->
-      let live = t.peers.(i) in
-      live.timeout <- p.timeout;
-      live.suspected <- p.suspected)
-    d.hd_peers;
-  t.stopped <- d.hd_stopped
-(* Heartbeat loop, watchdog timers and suspicion listeners ride the world blob. *)

@@ -66,6 +66,3 @@ val snapshot : ?name:string -> t -> Repro_sim.Snapshot.section
 (** Default section name ["fd.heartbeat.p<me>"]. Carries per-peer adaptive
     timeouts and suspicion flags; the heartbeat loop and watchdog timers
     ride the world blob. *)
-
-val restore : ?name:string -> t -> Repro_sim.Snapshot.section -> unit
-(** @raise Repro_sim.Snapshot.Codec_error on mismatch. *)

@@ -32,9 +32,3 @@ let port_name port = port.name
 
 let snapshot ~name t =
   Snapshot.make ~name ~version:1 [ ("emissions", Snapshot.Int t.emissions) ]
-
-let restore ~name t s =
-  Snapshot.check s ~name ~version:1;
-  t.emissions <- Snapshot.get_int s "emissions"
-(* Port subscriber lists are closures wired at mount time; they ride the
-   world blob. *)

@@ -36,6 +36,3 @@ val port_name : 'a port -> string
 
 val snapshot : name:string -> t -> Snapshot.section
 (** Boundary-crossing counter; subscriber closures ride the world blob. *)
-
-val restore : name:string -> t -> Snapshot.section -> unit
-(** @raise Snapshot.Codec_error on mismatch. *)

@@ -1,11 +1,14 @@
-(* Snapshot-completeness: every module exposing a [snapshot]/[restore]
-   pair must capture all of the mutable state reachable from its state
-   type, or replay from a frame silently diverges ([repro replay
-   --verify] catches it dynamically — if a test happens to exercise the
-   forgotten field; this rule catches it at lint time).
+(* Snapshot-completeness: every module whose toplevel [snapshot] returns
+   a [Repro_sim.Snapshot.section] must read all of the mutable state
+   reachable from its state type. Sections are what [repro bisect] diffs
+   between the last-good and first-bad frames, so a field the section
+   does not capture is invisible to that state diff: a fault living there
+   shows up as no change at all. (Resuming never reads sections back —
+   it goes through the world blob — so this is about the diagnostic
+   view, not about replay correctness.)
 
    For each structure (the compilation unit, or a nested module) that
-   binds both [snapshot] and [restore] at its toplevel and declares a
+   binds a section-returning [snapshot] at its toplevel and declares a
    type [t], the rule
 
    1. collects the *obligations*: walking the declarations reachable
@@ -25,23 +28,26 @@
    3. flags each obligation outside the coverage, at the label's
       declaration site.
 
-   Sanctioned runtime-topology exemptions — state the PR-8 snapshot
-   design intentionally re-seats via the [Marshal] world blob rather
-   than the introspectable codec — are cut out of the walk:
+   Sanctioned runtime-topology exemptions — state only the [Marshal]
+   world blob can carry, not the introspectable codec — are cut out of
+   the walk:
 
    - any label whose type visibly contains a function arrow (callbacks,
      handler slots, subscriber lists: closures cannot round-trip the
      codec at all);
    - labels of a type in [topology_types] (an [Engine.timer] names a
-     live cell in the engine's queue — the world blob re-seats it);
+     live cell in the engine's queue — the world blob carries it);
    - the unit-qualified labels in [topology_fields] (the calendar
      queue's bucket structure holds the pending-event closures; its
-     [restore] count-checks [pending] instead).
+     section reports the queue's occupancy instead).
+
+   A [snapshot] returning anything else ([Net_stats.snapshot]'s traffic
+   totals) is not a section and is outside the rule.
 
    Soundness envelope (what this rule cannot prove): named types from
    other units stay opaque (a module hiding mutable state behind an
    abstract type from elsewhere is that unit's obligation, checked when
-   *its* pair is linted); an immutable label holding a bare [array] or
+   *its* snapshot is linted); an immutable label holding a bare [array] or
    [Bytes.t] is treated as a constant table (the same deliberate
    under-approximation as the [toplevel-state] rule) unless the label is
    itself mutable; coverage is read-based, so a snapshot that reads a
@@ -60,8 +66,8 @@ let topology_types = [ ("sim.Engine", "timer") ]
 (* (unit, type, label) triples assigned to the world blob by design. *)
 let topology_fields =
   [
-    (* Pending events are closures; [Event_queue.restore] count-checks
-       [pending] against the blob-restored queue instead. *)
+    (* Pending events are closures, which only the world blob carries;
+       the section reports [pending] and [resident] instead. *)
     ("sim.Event_queue", "t", "slots");
     (* The ablation-only decision channel is wired once at stack
        construction and holds handler closures; its source documents
@@ -125,6 +131,8 @@ type inventory = {
   bindings : (string, (string * string) list * string list) Hashtbl.t;
       (* unique name -> labels read, local unique names referenced *)
   named : (string, string) Hashtbl.t; (* binding name -> unique name *)
+  mutable snapshot : string option;
+      (* unique name of the toplevel [snapshot] returning a section *)
 }
 
 let label_key (ld : Types.label_description) =
@@ -166,6 +174,42 @@ let reads_of_expr (e : expression) =
   let it = { default with expr; pat } in
   it.expr it e;
   (!labels, !refs)
+
+(* Local module aliases ([module Snap = Snapshot]) by unique name, so a
+   type path through one resolves to the aliased unit. *)
+let module_aliases items =
+  let tbl = Hashtbl.create 4 in
+  let default = Tast_iterator.default_iterator in
+  let module_binding sub (mb : module_binding) =
+    (match (mb.mb_id, mb.mb_expr.mod_desc) with
+    | Some id, Tmod_ident (p, _) -> Hashtbl.replace tbl (Ident.unique_name id) p
+    | _ -> ());
+    default.module_binding sub mb
+  in
+  let it = { default with module_binding } in
+  List.iter (it.structure_item it) items;
+  tbl
+
+(* Does a function of type [ty] return a [Repro_sim.Snapshot.section]? *)
+let returns_section aliases ty =
+  let rec result ty =
+    match Types.get_desc ty with
+    | Types.Tarrow (_, _, r, _) -> result r
+    | Types.Tpoly (t, _) -> result t
+    | _ -> ty
+  in
+  match Types.get_desc (result ty) with
+  | Types.Tconstr (Path.Pdot (m, "section"), _, _) -> (
+    let m =
+      match m with
+      | Path.Pident id ->
+        Option.value ~default:m (Hashtbl.find_opt aliases (Ident.unique_name id))
+      | _ -> m
+    in
+    match Boundaries.unit_of_path m with
+    | Some u -> String.equal (Boundaries.unit_name u) "sim.Snapshot"
+    | None -> false)
+  | _ -> false
 
 let binding_name (vb : value_binding) =
   match vb.vb_pat.pat_desc with
@@ -239,12 +283,13 @@ let coverage_roots inv snap_stamp =
      | Some s -> [ s ]
      | None -> [])
 
-let inventory_of_items items =
+let inventory_of_items ~aliases items =
   let inv =
     {
       decls = Hashtbl.create 16;
       bindings = Hashtbl.create 16;
       named = Hashtbl.create 16;
+      snapshot = None;
     }
   in
   let submodules = ref [] in
@@ -266,7 +311,12 @@ let inventory_of_items items =
               | Some (name, stamp) ->
                 Hashtbl.replace inv.bindings stamp (reads_of_expr vb.vb_expr);
                 if not (Hashtbl.mem inv.named name) then
-                  Hashtbl.replace inv.named name stamp
+                  Hashtbl.replace inv.named name stamp;
+                if
+                  String.equal name "snapshot"
+                  && Option.is_none inv.snapshot
+                  && returns_section aliases vb.vb_expr.exp_type
+                then inv.snapshot <- Some stamp
               | None -> ())
             vbs
         | Tstr_module mb -> scan_module mb.mb_expr
@@ -282,30 +332,34 @@ let inventory_of_items items =
   scan items;
   (inv, List.rev !submodules)
 
+(* The structure's section-returning [snapshot] and its state type [t]:
+   the obligations reachable from [t] and the labels its coverage roots
+   read. [None] when the structure has no such pair. *)
+let audit ~unit inv =
+  match inv.snapshot with
+  | Some snap_stamp when Hashtbl.mem inv.decls "t" ->
+    Some (obligations_from ~unit inv "t", coverage_from inv (coverage_roots inv snap_stamp))
+  | _ -> None
+
 let check_items ~unit ~file items =
+  let aliases = module_aliases items in
   let out = ref [] in
   let rec go items =
-    let inv, submodules = inventory_of_items items in
+    let inv, submodules = inventory_of_items ~aliases items in
     (* Submodule type declarations are visible to the parent's walk (a
        state type may reference [Inner.t]); merge them in by name after
        the parent's own, which keeps the parent's names winning. *)
     List.iter
       (fun sub_items ->
-        let sub_inv, _ = inventory_of_items sub_items in
+        let sub_inv, _ = inventory_of_items ~aliases sub_items in
         Hashtbl.fold (fun name d acc -> (name, d) :: acc) sub_inv.decls []
         |> List.sort (fun (a, _) (b, _) -> compare a b)
         |> List.iter (fun (name, d) ->
                if not (Hashtbl.mem inv.decls name) then
                  Hashtbl.replace inv.decls name d))
       submodules;
-    (match
-       ( Hashtbl.find_opt inv.named "snapshot",
-         Hashtbl.find_opt inv.named "restore",
-         Hashtbl.mem inv.decls "t" )
-     with
-    | Some snap_stamp, Some _, true ->
-      let obligations = obligations_from ~unit inv "t" in
-      let covered = coverage_from inv (coverage_roots inv snap_stamp) in
+    (match audit ~unit inv with
+    | Some (obligations, covered) ->
       List.iter
         (fun o ->
           if not (Hashtbl.mem covered (o.tname, o.label)) then
@@ -313,13 +367,13 @@ let check_items ~unit ~file items =
               Violation.make ~rule ~file ~loc:o.loc
                 (Printf.sprintf
                    "mutable state %s.%s is not read by this module's \
-                    [snapshot]; a restored run would silently diverge under \
-                    `repro replay --verify` (capture it, or re-seat it via \
-                    the world blob and exempt it as runtime topology)"
+                    [snapshot], so it is invisible to `repro bisect`'s state \
+                    diff (capture it in the section, or exempt it as runtime \
+                    topology if only the world blob can carry it)"
                    o.tname o.label)
               :: !out)
         obligations
-    | _ -> ());
+    | None -> ());
     List.iter go submodules
   in
   go items;
@@ -329,17 +383,13 @@ let check ?unit ~file (str : structure) : Violation.t list =
   List.sort Violation.order (check_items ~unit ~file str.str_items)
 
 (* Exposed for tests: the obligation and coverage sets the toplevel
-   structure's pair is checked against (empty when it has no pair). *)
+   structure's section-returning [snapshot] is checked against (empty
+   when it has none). *)
 let debug_pairs ?unit (str : structure) =
-  let inv, _ = inventory_of_items str.str_items in
-  match
-    ( Hashtbl.find_opt inv.named "snapshot",
-      Hashtbl.find_opt inv.named "restore",
-      Hashtbl.mem inv.decls "t" )
-  with
-  | Some snap_stamp, Some _, true ->
-    let obligations = obligations_from ~unit inv "t" in
-    let covered = coverage_from inv (coverage_roots inv snap_stamp) in
+  let aliases = module_aliases str.str_items in
+  let inv, _ = inventory_of_items ~aliases str.str_items in
+  match audit ~unit inv with
+  | Some (obligations, covered) ->
     ( List.map (fun o -> (o.tname, o.label)) obligations,
       List.sort compare (Hashtbl.fold (fun k () acc -> k :: acc) covered []) )
-  | _ -> ([], [])
+  | None -> ([], [])

@@ -87,18 +87,3 @@ let dump t =
     d_sent = Array.copy t.sent;
     d_kinds = by_kind t;
   }
-
-let load t d =
-  if Array.length d.d_sent <> Array.length t.sent then
-    invalid_arg "Net_stats.load: group size mismatch";
-  t.messages <- d.d_messages;
-  t.payload <- d.d_payload;
-  t.wire <- d.d_wire;
-  Array.blit d.d_sent 0 t.sent 0 (Array.length t.sent);
-  Array.fill t.kinds 0 (Array.length t.kinds) 0;
-  List.iter
-    (fun (k, v) ->
-      (* Bind the slot first: [kind_slot] may grow [t.kinds]. *)
-      let slot = kind_slot t k in
-      t.kinds.(slot) <- v)
-    d.d_kinds

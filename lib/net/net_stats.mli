@@ -68,7 +68,3 @@ type dump = {
     payload. [d_kinds] is sorted, so a dump is a canonical value. *)
 
 val dump : t -> dump
-
-val load : t -> dump -> unit
-(** Overwrite the live counters with a dump's.
-    @raise Invalid_argument if the per-sender array sizes differ. *)

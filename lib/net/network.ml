@@ -582,8 +582,8 @@ let stats t = t.stats
 
    The section carries every enumerable knob and counter; the bulk
    payload carries the matrices, per-node NIC accounting and the RNG
-   stream states. Handler closures and in-flight arrival events are
-   restored by the world blob, not here. *)
+   stream states. Handler closures and in-flight arrival events ride the
+   world blob. *)
 
 type node_data = {
   d_nic_free_ns : int;
@@ -600,8 +600,6 @@ type net_data = {
   d_adv_rng : Snapshot.section option;
   d_stats : Net_stats.dump;
 }
-
-let section_name = "net.network"
 
 let snapshot t =
   let count_row acc row =
@@ -648,7 +646,7 @@ let snapshot t =
         d_stats = Net_stats.dump t.stats;
       }
   in
-  Snapshot.make ~name:section_name ~version:1 ~data
+  Snapshot.make ~name:"net.network" ~version:1 ~data
     ([
        ("n", Snapshot.Int (Array.length t.nodes));
        ("loss_rate", Snapshot.Float t.loss_rate);
@@ -662,64 +660,3 @@ let snapshot t =
        ("msgs_sent", Snapshot.Int (Net_stats.snapshot t.stats).Net_stats.messages);
      ]
     @ adv_fields)
-
-let restore t s =
-  Snapshot.check s ~name:section_name ~version:1;
-  let n = Array.length t.nodes in
-  if Snapshot.get_int s "n" <> n then
-    raise
-      (Snapshot.Codec_error
-         (Printf.sprintf "net.network: snapshot has n=%d, live network has n=%d"
-            (Snapshot.get_int s "n") n));
-  t.loss_rate <- Snapshot.get_float s "loss_rate";
-  t.extra_delay <- Time.span_ns (Snapshot.get_int s "extra_delay_ns");
-  let (d : net_data) = Snapshot.unpack_data s in
-  Array.iteri
-    (fun i row ->
-      Array.iteri (fun j v -> t.last_arrival.(i).(j) <- Time.of_ns v) row)
-    d.d_last_arrival;
-  Array.iteri (fun i row -> Array.blit row 0 t.cut.(i) 0 n) d.d_cut;
-  Array.iteri
-    (fun i nd ->
-      let node = t.nodes.(i) in
-      node.nic_free_at <- Time.of_ns nd.d_nic_free_ns;
-      node.nic_busy_ns <- nd.d_nic_busy_ns;
-      node.crashed <- nd.d_crashed;
-      node.sends_before_crash <- nd.d_sends_before_crash)
-    d.d_nodes;
-  Repro_sim.Rng.restore ~name:"net.rng" t.rng d.d_rng;
-  Net_stats.load t.stats d.d_stats;
-  match (Snapshot.get_bool s "adversary", t.adversary) with
-  | false, None -> ()
-  | false, Some a ->
-    (* Snapshot taken before arming (or with a disarmed adversary):
-       zero every knob and counter on the live one. *)
-    a.drop_budget <- 0;
-    a.corrupt_rate <- 0.0;
-    a.duplicate_rate <- 0.0;
-    a.reorder_window <- Time.span_zero;
-    a.equivocate_rate <- 0.0;
-    a.dropped <- 0;
-    a.corrupted <- 0;
-    a.duplicated <- 0;
-    a.reordered <- 0;
-    a.equivocated <- 0
-  | true, None ->
-    raise
-      (Snapshot.Codec_error
-         "net.network: snapshot has an armed adversary; call arm_adversary \
-          first (its mutators are closures and cannot be restored)")
-  | true, Some a ->
-    a.drop_budget <- Snapshot.get_int s "adv.drop_budget";
-    a.corrupt_rate <- Snapshot.get_float s "adv.corrupt_rate";
-    a.duplicate_rate <- Snapshot.get_float s "adv.duplicate_rate";
-    a.reorder_window <- Time.span_ns (Snapshot.get_int s "adv.reorder_window_ns");
-    a.equivocate_rate <- Snapshot.get_float s "adv.equivocate_rate";
-    a.dropped <- Snapshot.get_int s "adv.dropped";
-    a.corrupted <- Snapshot.get_int s "adv.corrupted";
-    a.duplicated <- Snapshot.get_int s "adv.duplicated";
-    a.reordered <- Snapshot.get_int s "adv.reordered";
-    a.equivocated <- Snapshot.get_int s "adv.equivocated";
-    (match d.d_adv_rng with
-    | Some rs -> Repro_sim.Rng.restore ~name:"net.adv_rng" a.adv_rng rs
-    | None -> ())

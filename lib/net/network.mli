@@ -231,16 +231,7 @@ val adversary_stats : _ t -> adversary_stats
 val stats : _ t -> Net_stats.t
 (** Live traffic counters (see {!Net_stats}). *)
 
-val section_name : string
-(** ["net.network"]. *)
-
 val snapshot : 'msg t -> Repro_sim.Snapshot.section
 (** The ["net.network"] section: loss/delay knobs, per-node crash and NIC
     accounting, link matrices, traffic statistics, base and adversary RNG
     stream states, adversary knobs and counters. *)
-
-val restore : 'msg t -> Repro_sim.Snapshot.section -> unit
-(** Re-seat the data-plane state. Handler closures and in-flight arrival
-    events ride the world blob. If the snapshot was taken with an armed
-    adversary, the live network must already be armed (mutators are
-    closures). @raise Repro_sim.Snapshot.Codec_error on mismatch. *)

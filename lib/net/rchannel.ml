@@ -269,8 +269,6 @@ type 'msg rc_data = {
   rd_in : (int * (int * 'msg) list) array;
 }
 
-let section_name me = Printf.sprintf "net.rchannel.p%d" (me + 1)
-
 let snapshot t =
   let n = Array.length t.outgoing in
   let frames link =
@@ -294,7 +292,7 @@ let snapshot t =
         rd_in = Array.map (fun l -> (l.expected, l.buffered)) t.incoming;
       }
   in
-  Snapshot.make ~name:(section_name t.me) ~version:1 ~data
+  Snapshot.make ~name:(Printf.sprintf "net.rchannel.p%d" (t.me + 1)) ~version:1 ~data
     [
       ("retransmissions", Snapshot.Int t.retransmissions);
       ("halted", Snapshot.Bool t.halted);
@@ -305,53 +303,3 @@ let snapshot t =
       ( "in_expected",
         Snapshot.List (List.init n (fun i -> Snapshot.Int t.incoming.(i).expected)) );
     ]
-
-let restore t s =
-  Snapshot.check s ~name:(section_name t.me) ~version:1;
-  t.retransmissions <- Snapshot.get_int s "retransmissions";
-  t.halted <- Snapshot.get_bool s "halted";
-  let (d : _ rc_data) = Snapshot.unpack_data s in
-  if
-    Array.length d.rd_out <> Array.length t.outgoing
-    || Array.length d.rd_in <> Array.length t.incoming
-  then
-    raise
-      (Snapshot.Codec_error
-         (Printf.sprintf "%s: snapshot is for a different group size"
-            (section_name t.me)));
-  Array.iteri
-    (fun i (next_seq, frames, backoff, srtt_ns) ->
-      let link = t.outgoing.(i) in
-      link.next_seq <- next_seq;
-      link.backoff <- backoff;
-      link.srtt <- Option.map Time.span_ns srtt_ns;
-      let len = List.length frames in
-      let cap =
-        let rec up c = if c >= len && c >= 8 then c else up (c * 2) in
-        up 8
-      in
-      (* Rebuild the window ring from scratch; retransmission timers ride
-         the world blob (they reference this link record, so a live timer
-         keeps working over the restored window). *)
-      link.ring <- Array.make cap None;
-      link.head <- 0;
-      link.len <- len;
-      List.iteri
-        (fun j fd ->
-          link.ring.(j) <-
-            Some
-              {
-                seq = fd.fd_seq;
-                payload = fd.fd_payload;
-                sent_at = Time.of_ns fd.fd_sent_ns;
-                ctx = fd.fd_ctx;
-                retransmitted = fd.fd_retransmitted;
-              })
-        frames)
-    d.rd_out;
-  Array.iteri
-    (fun i (expected, buffered) ->
-      let link = t.incoming.(i) in
-      link.expected <- expected;
-      link.buffered <- buffered)
-    d.rd_in

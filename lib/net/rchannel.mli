@@ -96,8 +96,3 @@ val snapshot : 'msg t -> Repro_sim.Snapshot.section
     per-link sequence state in the fields; the unacked send windows,
     smoothed RTTs, backoffs and out-of-order receive buffers in the bulk
     payload. *)
-
-val restore : 'msg t -> Repro_sim.Snapshot.section -> unit
-(** Rebuild the window rings and receive buffers from the payload.
-    Retransmission timers ride the world blob.
-    @raise Repro_sim.Snapshot.Codec_error on mismatch. *)

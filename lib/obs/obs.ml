@@ -12,7 +12,7 @@ let all_layers : layer list = Span.all_layers
    no hashing, no string comparison and no allocation. The name-keyed
    calls ([incr], [observe]) resolve and then bump the same slot, so a
    name and its handle are one metric. Slots are never freed or moved:
-   a handle stays valid for the sink's lifetime, across [restore]. *)
+   a handle stays valid for the sink's lifetime. *)
 type counter = int
 type histogram = int
 
@@ -89,8 +89,7 @@ let grown a fill =
 
 let touched t slot = Bytes.get t.ctr_touched slot <> '\000'
 
-(* Find or allocate a name's slot. No enabledness check: [restore] refills
-   through these on any sink. *)
+(* Find or allocate a name's slot. Callers check enabledness. *)
 let ctr_slot t name =
   match Hashtbl.find t.ctr_index name with
   | slot -> slot
@@ -299,31 +298,3 @@ let snapshot ?(name = "obs.sink") t =
       ("next_sid", Snap.Int t.next_sid);
       ("ctx", Snap.Int t.ctx);
     ]
-
-let restore ?(name = "obs.sink") t s =
-  Snap.check s ~name ~version:2;
-  let (d : obs_data) = Snap.unpack_data s in
-  (* Refill in place: every name keeps its slot, so handles resolved
-     before the restore count on from the restored values. *)
-  Array.fill t.ctr_vals 0 (Array.length t.ctr_vals) 0;
-  Bytes.fill t.ctr_touched 0 (Bytes.length t.ctr_touched) '\000';
-  List.iter
-    (fun (k, v) ->
-      let slot = ctr_slot t k in
-      t.ctr_vals.(slot) <- v;
-      Bytes.set t.ctr_touched slot '\001')
-    d.od_counters;
-  Hashtbl.reset t.gauges;
-  List.iter (fun (k, v) -> Hashtbl.add t.gauges k (ref v)) d.od_gauges;
-  for slot = 0 to Hashtbl.length t.hist_index - 1 do
-    t.hists.(slot) <- Histogram.create ~edges:(Histogram.edges t.hists.(slot)) ()
-  done;
-  List.iter
-    (fun (k, h) ->
-      let slot = hist_slot t ~edges:(Histogram.edges h) k in
-      t.hists.(slot) <- h)
-    d.od_histograms;
-  t.dropped_spans <- d.od_dropped_spans;
-  t.next_sid <- d.od_next_sid;
-  t.ctx <- d.od_ctx
-(* The span buffer (and the clock closure) rides the world blob. *)

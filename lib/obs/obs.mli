@@ -217,8 +217,3 @@ val snapshot : ?name:string -> t -> Repro_sim.Snapshot.section
 (** Default section name ["obs.sink"]. Carries counters, gauges,
     histograms, span-id allocator and ambient span context; the span
     buffer (a closure over the clock) rides the world blob. *)
-
-val restore : ?name:string -> t -> Repro_sim.Snapshot.section -> unit
-(** Refills the sink in place: handles resolved before the restore keep
-    their slots and count on from the restored values.
-    @raise Repro_sim.Snapshot.Codec_error on mismatch. *)

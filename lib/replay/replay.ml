@@ -4,10 +4,11 @@
    The design splits every module's state in two:
 
    - The *data plane* — counters, tables, queues of values — which each
-     module exposes through its [snapshot]/[restore] pair as a
+     module exposes through its [snapshot] as a
      {!Repro_sim.Snapshot.section}. Sections are encoded with the
      hand-rolled codec, so frame *metadata* stays readable across rebuilds
-     of the binary; [repro bisect] works from metadata alone.
+     of the binary; [repro bisect] works from metadata alone. Sections are
+     a diagnostic view: resume never reads them back.
 
    - The *control plane* — pending events, armed timers, subscriber
      callbacks — which is inherently closures. It travels in the frame's
@@ -186,7 +187,8 @@ let add_str buf s =
 
 type reader = { src : string; mutable pos : int }
 
-let need r n = if r.pos + n > String.length r.src then fail "truncated frame log"
+(* Overflow-safe: a corrupt length near [max_int] must not wrap [pos + n]. *)
+let need r n = if n > String.length r.src - r.pos then fail "truncated at byte %d" r.pos
 
 let read_int r =
   need r 8;
@@ -196,7 +198,7 @@ let read_int r =
 
 let read_str r =
   let n = read_int r in
-  if n < 0 then fail "corrupt frame log (negative length)";
+  if n < 0 then fail "negative length at byte %d" (r.pos - 8);
   need r n;
   let s = String.sub r.src r.pos n in
   r.pos <- r.pos + n;
@@ -238,15 +240,11 @@ let write_trailer oc ~at_ns ~meta ~observables =
     observables;
   Buffer.output_buffer oc buf
 
-let load path =
-  let ic = open_in_bin path in
-  let len = in_channel_length ic in
-  let src = really_input_string ic len in
-  close_in ic;
+let decode path src =
   let r = { src; pos = 0 } in
   need r (String.length log_magic);
-  if String.sub src 0 (String.length log_magic) <> log_magic then
-    fail "%s is not a repro frame log" path;
+  if not (String.equal (String.sub src 0 (String.length log_magic)) log_magic) then
+    fail "not a repro frame log";
   r.pos <- String.length log_magic;
   let digest = read_str r in
   let descriptor = read_str r in
@@ -266,6 +264,7 @@ let load path =
         let at_ns = read_int r in
         let meta = read_str r in
         let n = read_int r in
+        if n < 0 then fail "negative observable count at byte %d" (r.pos - 8);
         let observables =
           List.init n (fun _ ->
               let name = read_str r in
@@ -273,13 +272,13 @@ let load path =
               (name, bytes))
         in
         trailer := Some (at_ns, Snapshot.decode_sections meta, observables)
-      | c -> fail "%s: unknown record tag %C" path c);
+      | c -> fail "unknown record tag %C" c);
       records ()
     end
   in
   records ();
   match !trailer with
-  | None -> fail "%s: no trailer — the recording did not run to completion" path
+  | None -> fail "no trailer — the recording did not run to completion"
   | Some (l_final_at_ns, l_final_sections, l_observables) ->
     {
       l_path = path;
@@ -291,6 +290,14 @@ let load path =
       l_final_sections;
       l_observables;
     }
+
+(* Every decode failure, whatever layer found it, is reported as a
+   [Replay_error] naming the file. *)
+let load path =
+  let src = In_channel.with_open_bin path In_channel.input_all in
+  try decode path src with
+  | Replay_error m -> fail "%s: %s" path m
+  | Snapshot.Codec_error m -> fail "%s: corrupt frame metadata (%s)" path m
 
 (* ---- Recording ---- *)
 

@@ -66,7 +66,8 @@ type log
 
 val load : string -> log
 (** Parse a frame log written by {!record_report} / {!record_nemesis}.
-    @raise Replay_error if the file is not a complete log. *)
+    @raise Replay_error naming [path] if the file is not a complete,
+    well-formed log (truncated, corrupt lengths or frame metadata). *)
 
 val frame_count : log -> int
 val descriptor : log -> string  (** The run's one-line JSON descriptor. *)

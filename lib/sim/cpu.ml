@@ -36,10 +36,3 @@ let snapshot ?(name = "sim.cpu") t =
       ("free_at_ns", Snapshot.Int (Time.to_ns t.free_at));
       ("busy_ns", Snapshot.Int t.busy_ns);
     ]
-
-let restore ?(name = "sim.cpu") t s =
-  Snapshot.check s ~name ~version:2;
-  t.free_at <- Time.of_ns (Snapshot.get_int s "free_at_ns");
-  (* In-flight completion closures live in the engine queue; the world
-     blob restores them. This pair re-seats the accounting state. *)
-  t.busy_ns <- Snapshot.get_int s "busy_ns"

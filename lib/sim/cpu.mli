@@ -47,8 +47,3 @@ val utilization : t -> since:Time.t -> float
 val snapshot : ?name:string -> t -> Snapshot.section
 (** Accounting state: next-free instant and cumulative busy time.
     Default section name ["sim.cpu"]. *)
-
-val restore : ?name:string -> t -> Snapshot.section -> unit
-(** Re-seat the accounting state. Queued completion closures are restored
-    by the world blob, not here.
-    @raise Snapshot.Codec_error on a name/version mismatch. *)

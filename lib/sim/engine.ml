@@ -65,12 +65,5 @@ let snapshot t =
       ("pending", Snapshot.Int (Event_queue.length t.queue));
     ]
 
-let restore t s =
-  Snapshot.check s ~name:"sim.engine" ~version:1;
-  t.clock <- Time.of_ns (Snapshot.get_int s "clock_ns");
-  t.executed <- Snapshot.get_int s "executed"
-
 let rng_snapshot t = Rng.snapshot ~name:"sim.engine.rng" t.root_rng
-let rng_restore t s = Rng.restore ~name:"sim.engine.rng" t.root_rng s
 let queue_snapshot t = Event_queue.snapshot t.queue
-let queue_restore t s = Event_queue.restore t.queue s

@@ -77,17 +77,8 @@ val events_executed : t -> int
 val snapshot : t -> Snapshot.section
 (** Clock, executed-event count and queue occupancy, as ["sim.engine"]. *)
 
-val restore : t -> Snapshot.section -> unit
-(** Re-seat clock and executed count. Pending events are closures and are
-    restored by the world blob.
-    @raise Snapshot.Codec_error on a name/version mismatch. *)
-
 val rng_snapshot : t -> Snapshot.section
 (** The root generator's stream state, as ["sim.engine.rng"]. *)
 
-val rng_restore : t -> Snapshot.section -> unit
-
 val queue_snapshot : t -> Snapshot.section
 (** The event queue's occupancy summary (see {!Event_queue.snapshot}). *)
-
-val queue_restore : t -> Snapshot.section -> unit

@@ -380,19 +380,3 @@ let snapshot t =
       ("resident", Snapshot.Int t.size);
       ("next_seq", Snapshot.Int t.next_seq);
     ]
-
-let restore t s =
-  Snapshot.check s ~name:"sim.event_queue" ~version:1;
-  let pending = Snapshot.get_int s "pending" in
-  if pending <> t.pending then
-    raise
-      (Snapshot.Codec_error
-         (Printf.sprintf
-            "sim.event_queue: %d pending events recorded but %d live; queue \
-             contents are closures and travel only in the world blob"
-            pending t.pending));
-  (* Raising the insertion counter preserves relative order of everything
-     already resident and everything pushed later, so pop order is
-     unchanged; it only keeps sequence numbers from colliding if the
-     section is older than the live queue. *)
-  t.next_seq <- max t.next_seq (Snapshot.get_int s "next_seq")

@@ -69,8 +69,3 @@ val snapshot : 'a t -> Snapshot.section
 (** Occupancy summary: pending events, resident cells, the insertion
     counter. Queue {e contents} are arbitrary closures and are captured
     only by the world blob ([Repro_replay.World]). *)
-
-val restore : 'a t -> Snapshot.section -> unit
-(** Validate that the live queue's occupancy matches the section (the
-    world blob is the contents carrier) and re-align the insertion
-    counter. @raise Snapshot.Codec_error on mismatch. *)

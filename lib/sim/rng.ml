@@ -65,7 +65,3 @@ let shuffle_in_place t a =
 
 let snapshot ?(name = "sim.rng") t =
   Snapshot.make ~name ~version:1 [ ("state", Snapshot.I64 t.state) ]
-
-let restore ?(name = "sim.rng") t s =
-  Snapshot.check s ~name ~version:1;
-  t.state <- Snapshot.get_i64 s "state"

@@ -66,7 +66,3 @@ val snapshot : ?name:string -> t -> Snapshot.section
 (** The full generator state (one 64-bit word). Default section name
     ["sim.rng"]; components snapshotting their private stream pass their
     own name. *)
-
-val restore : ?name:string -> t -> Snapshot.section -> unit
-(** Re-seat the stream exactly where the snapshot left it.
-    @raise Snapshot.Codec_error on a name/version mismatch. *)

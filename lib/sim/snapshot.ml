@@ -1,10 +1,10 @@
 (* The snapshot codec: a versioned, self-describing container for module
    state. Every simulated component exposes [snapshot : t -> section]
    (its enumerable data-plane state as ordered key/field pairs plus an
-   optional opaque bulk payload) and [restore : t -> section -> unit].
-   Sections serve three masters: the binary frame log written by
-   [Repro_replay], the JSON state-diff reports emitted by [repro bisect],
-   and the codec round-trip property tests.
+   optional opaque bulk payload). Sections are a diagnostic view: they
+   serve the binary frame log written by [Repro_replay], the JSON
+   state-diff reports emitted by [repro bisect], and the codec round-trip
+   property tests. Resuming a run never reads them back.
 
    The binary encoding is hand-rolled (not [Marshal]) so frame *metadata*
    stays readable across rebuilds of the binary; only the world blob
@@ -30,35 +30,11 @@ exception Codec_error of string
 let fail fmt = Printf.ksprintf (fun s -> raise (Codec_error s)) fmt
 let make ~name ~version ?(data = "") fields = { name; version; fields; data }
 
-let check s ~name ~version =
-  if not (String.equal s.name name) then
-    fail "restore %s: section is %s" name s.name;
-  if s.version <> version then
-    fail "restore %s: version %d, expected %d" name s.version version
-
-let find s key =
-  match List.assoc_opt key s.fields with
-  | Some f -> f
-  | None -> fail "section %s: missing field %s" s.name key
-
-let get_bool s key =
-  match find s key with Bool b -> b | _ -> fail "section %s: %s is not a bool" s.name key
-
 let get_int s key =
-  match find s key with Int i -> i | _ -> fail "section %s: %s is not an int" s.name key
-
-let get_i64 s key =
-  match find s key with I64 i -> i | _ -> fail "section %s: %s is not an int64" s.name key
-
-let get_float s key =
-  match find s key with
-  | Float f -> f
-  | _ -> fail "section %s: %s is not a float" s.name key
-
-let get_string s key =
-  match find s key with
-  | String v -> v
-  | _ -> fail "section %s: %s is not a string" s.name key
+  match List.assoc_opt key s.fields with
+  | Some (Int i) -> i
+  | Some _ -> fail "section %s: %s is not an int" s.name key
+  | None -> fail "section %s: missing field %s" s.name key
 
 let rec equal_field a b =
   match (a, b) with
@@ -133,8 +109,10 @@ let encode_sections sections =
 
 type reader = { src : string; mutable pos : int }
 
+(* [n] may be a corrupt length near [max_int]: compare against the bytes
+   left, since [r.pos + n] could wrap negative. *)
 let need r n =
-  if r.pos + n > String.length r.src then fail "truncated snapshot at byte %d" r.pos
+  if n > String.length r.src - r.pos then fail "truncated snapshot at byte %d" r.pos
 
 let read_i64 r =
   need r 8;
@@ -310,19 +288,11 @@ let section_diff_to_json d =
     (escape_json d.section) d.data_changed
     (String.concat "," changes)
 
-(* ---- bulk payload helpers ----
+(* ---- bulk payload ----
 
    Pure-data bulk state (tables, queues, logs — no closures) rides in
-   [section.data] via [Marshal] without [Closures]; this is what lets a
-   module's [restore] rebuild real structures, not just counters. The
-   caller must read at the type it wrote — the same contract as
-   [Marshal], confined to each module's own snapshot/restore pair. *)
+   [section.data] via [Marshal] without [Closures]. Nothing reads it back
+   at its type: bisect compares payloads byte-wise ([data_changed]), and
+   resume goes through the world blob. *)
 
 let pack v = Marshal.to_string v []
-let unpack (s : string) = Marshal.from_string s 0
-
-let unpack_data section =
-  if String.length section.data = 0 then
-    fail "section %s: no bulk payload to restore" section.name;
-  try unpack section.data
-  with Failure m -> fail "section %s: bad bulk payload (%s)" section.name m

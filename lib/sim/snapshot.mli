@@ -1,22 +1,16 @@
 (** Versioned snapshot codec for module state.
 
-    Every simulated component exposes a [snapshot : t -> Snapshot.section]
-    / [restore : t -> Snapshot.section -> unit] pair. A {!section} is the
-    component's enumerable data-plane state: ordered key/{!field} pairs
-    plus an optional opaque bulk payload ([Marshal]ed pure data). Sections
-    are what the frame log persists per module, what [repro bisect] diffs
-    between the last-good and first-bad frames, and what the codec
-    round-trip tests exercise.
+    Every simulated component exposes a [snapshot : t -> Snapshot.section].
+    A {!section} is the component's enumerable data-plane state: ordered
+    key/{!field} pairs plus an optional opaque bulk payload ([Marshal]ed
+    pure data). Sections are what the frame log persists per module, what
+    [repro bisect] diffs between the last-good and first-bad frames, and
+    what the codec round-trip tests exercise.
 
-    {2 Restore contract}
-
-    [restore] re-seats a component's {e serializable} state — counters,
-    sequence numbers, tables, logs. State that is inherently a closure
-    (pending events, armed timers, subscriber callbacks) is restored by
-    the whole-world blob captured by [Repro_replay.World], which preserves
-    the engine queue with [Marshal.Closures]; section-level [restore]
-    validates name and version (raising {!Codec_error}) and documents per
-    module which residue the world blob carries.
+    Sections are a diagnostic view, never read back into a live
+    component: resuming a run goes only through the whole-world blob
+    captured by [Repro_replay.World] ([Marshal.Closures] over the engine
+    and everything it reaches), so queue and state cannot desync.
 
     {2 Determinism obligations}
 
@@ -46,18 +40,8 @@ exception Codec_error of string
 
 val make : name:string -> version:int -> ?data:string -> (string * field) list -> section
 
-val check : section -> name:string -> version:int -> unit
-(** Validate a section header before restoring from it.
-    @raise Codec_error on name or version mismatch. *)
-
-val find : section -> string -> field
-(** @raise Codec_error if the key is absent. *)
-
-val get_bool : section -> string -> bool
 val get_int : section -> string -> int
-val get_i64 : section -> string -> int64
-val get_float : section -> string -> float
-val get_string : section -> string -> string
+(** @raise Codec_error if the key is absent or not an {!Int}. *)
 
 val equal_field : field -> field -> bool
 (** Structural equality; floats compare by bit pattern. *)
@@ -91,7 +75,3 @@ val section_diff_to_json : section_diff -> string
 
 val pack : 'a -> string
 (** [Marshal] (pure data, no closures) a module's bulk payload. *)
-
-val unpack_data : section -> 'a
-(** Read back a bulk payload at the type it was written.
-    @raise Codec_error if the section has no payload or it is corrupt. *)

@@ -67,12 +67,5 @@ let snapshot ?(name = "workload.generator") t =
     [
       ("stopped", Snap.Bool t.stopped);
       ("offered", Snap.Int t.offered);
-      ("rng_state", Snap.find rng "state");
+      ("rng_state", List.assoc "state" rng.Snap.fields);
     ]
-
-let restore ?(name = "workload.generator") t s =
-  Snap.check s ~name ~version:1;
-  t.stopped <- Snap.get_bool s "stopped";
-  t.offered <- Snap.get_int s "offered";
-  Rng.restore ~name:(name ^ ".rng") t.rng (Snap.unpack_data s)
-(* The self-reposting offer loops ride the world blob. *)

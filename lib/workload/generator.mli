@@ -35,6 +35,3 @@ val snapshot : ?name:string -> t -> Repro_sim.Snapshot.section
 (** Default section name ["workload.generator"]: offered count, stop flag
     and the arrival RNG stream; the self-reposting offer loops ride the
     world blob. *)
-
-val restore : ?name:string -> t -> Repro_sim.Snapshot.section -> unit
-(** @raise Repro_sim.Snapshot.Codec_error on mismatch. *)

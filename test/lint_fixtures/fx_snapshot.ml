@@ -1,4 +1,4 @@
-(* Broken and sanctioned snapshot/restore pairs for the
+(* Broken and sanctioned snapshot sections for the
    snapshot-completeness rule. *)
 
 type t = {
@@ -10,20 +10,25 @@ type t = {
   mutable head : int; (* read via the helper: fine *)
 }
 
+module Snap = Repro_sim.Snapshot
+
 let head_of t = t.head
-let snapshot t = (t.covered, head_of t)
 
-let restore t (c, h) =
-  t.covered <- c;
-  t.head <- h
+let snapshot t =
+  Snap.make ~name:"fx" ~version:1
+    [ ("covered", Snap.Int t.covered); ("head", Snap.Int (head_of t)) ]
 
-(* A complete pair: the whole-record copy covers every field. *)
-module Ok_pair = struct
+(* A complete section: the whole-record copy covers every field. *)
+module Ok_copy = struct
   type t = { mutable a : int; mutable b : int }
 
-  let snapshot t = { t with a = t.a }
+  let snapshot t = Snap.make ~name:"ok" ~version:1 ~data:(Snap.pack { t with a = t.a }) []
+end
 
-  let restore t (s : t) =
-    t.a <- s.a;
-    t.b <- s.b
+(* Not a section (traffic totals, like [Net_stats.snapshot]): outside
+   the rule, so the unread counter is not flagged. *)
+module Totals = struct
+  type t = { mutable sent : int; mutable unread : int }
+
+  let snapshot t = t.sent
 end

@@ -3,8 +3,8 @@
    run as frame logs, lists/replays/verifies them, bisects both a passing
    log (nothing to bisect) and a misused one (report logs carry no
    monitor), converts a span trace to Chrome Trace Event Format, and
-   checks that half-specified snapshot flags are rejected before any
-   simulation starts. Wired into `dune runtest`. *)
+   checks that half-specified snapshot flags and corrupt frame logs are
+   rejected with an error, not a crash. Wired into `dune runtest`. *)
 
 let fail fmt =
   Printf.ksprintf
@@ -24,18 +24,20 @@ let write_file path contents =
   output_string oc contents;
   close_out oc
 
-let command ?(stdout = "/dev/null") bin args =
+let command ?(stdout = "/dev/null") ?(stderr = "/dev/null") bin args =
   let cmd = String.concat " " (List.map Filename.quote (bin :: args)) in
-  Sys.command (cmd ^ " > " ^ Filename.quote stdout ^ " 2> /dev/null")
+  Sys.command (cmd ^ " > " ^ Filename.quote stdout ^ " 2> " ^ Filename.quote stderr)
 
 let run_cli ?stdout bin args =
   let code = command ?stdout bin args in
   if code <> 0 then
     fail "%s exited with %d" (String.concat " " (bin :: args)) code
 
-let expect_rejection bin args ~what =
-  let code = command bin args in
-  if code = 0 then fail "%s was accepted (exit 0), expected a rejection" what
+(* Cmdliner exits 125 on an uncaught exception: a crash, not a rejection. *)
+let expect_rejection ?stderr bin args ~what =
+  let code = command ?stderr bin args in
+  if code = 0 then fail "%s was accepted (exit 0), expected a rejection" what;
+  if code = 125 then fail "%s crashed (exit 125, uncaught exception)" what
 
 let contains ~needle hay =
   let nl = String.length needle and hl = String.length hay in
@@ -108,7 +110,33 @@ let () =
   expect_rejection bin [ "replay"; rep_log; "--frame"; "9999" ]
     ~what:"replay from an out-of-range frame";
 
+  (* Corrupt logs: a truncated one, and one whose first frame's section
+     encoding has its magic defaced. Each is an error naming the file. *)
+  let bad_log = tmp ^ ".bad.rlog" and err = tmp ^ ".err" in
+  let log = read_file rep_log in
+  let defaced =
+    let magic = "REPRO-SNAP\x01" in
+    let n = String.length magic in
+    let rec at i =
+      if i + n > String.length log then fail "no section encoding in %s" rep_log
+      else if String.sub log i n = magic then i
+      else at (i + 1)
+    in
+    let i = at 0 in
+    String.sub log 0 i ^ String.make n 'X' ^ String.sub log (i + n) (String.length log - i - n)
+  in
+  List.iter
+    (fun (what, bytes) ->
+      write_file bad_log bytes;
+      expect_rejection ~stderr:err bin [ "replay"; bad_log; "--list" ] ~what;
+      if not (contains ~needle:bad_log (read_file err)) then
+        fail "%s: the error does not name the file: %s" what (read_file err))
+    [
+      ("a truncated log", String.sub log 0 (String.length log / 2));
+      ("a log with corrupt frame metadata", defaced);
+    ];
+
   List.iter
     (fun p -> try Sys.remove p with Sys_error _ -> ())
-    [ plan; nem_log; rep_log; trace; chrome; out ];
+    [ plan; nem_log; rep_log; trace; chrome; out; bad_log; err ];
   print_endline "replay-smoke: OK"

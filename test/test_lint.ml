@@ -103,11 +103,15 @@ let test_fixture_rng () =
 
 (* ---- snapshot-completeness against the real tree ----
 
-   The acceptance check for the rule's teeth: on the real lib/net and
-   lib/sim codecs, the obligation set is non-empty and every obligation
-   is currently covered — so deleting any of those field reads from
-   [snapshot] flips exactly that pair into a violation (the failing side
-   of the mechanism is pinned by fx_snapshot.ml above). *)
+   The acceptance check for the rule's teeth: on real net, sim and core
+   sections, the obligation set is non-empty and every obligation is
+   currently covered — so deleting any of those field reads from
+   [snapshot] flips exactly that field into a violation (the failing side
+   of the mechanism is pinned by fx_snapshot.ml above). Consensus covers
+   its per-round tables through the [{ s with ... }] copy, Replica its
+   sub-components through the [sections] aggregator. The rule is keyed
+   on a [snapshot] returning a section, so it audits exactly the units
+   below and not [Net_stats], whose [snapshot] returns traffic totals. *)
 
 let structure_of_cmt path =
   match Cmt_format.read_cmt path with
@@ -142,7 +146,30 @@ let test_snapshot_obligations_real () =
   check_unit "../lib/net/.repro_net.objs/byte/repro_net__Rchannel.cmt"
     [ ("link_out", "backoff"); ("t", "retransmissions") ];
   check_unit "../lib/sim/.repro_sim.objs/byte/repro_sim__Event_queue.cmt"
-    [ ("t", "pending"); ("t", "next_seq") ]
+    [ ("t", "pending"); ("t", "next_seq") ];
+  check_unit "../lib/core/.repro_core.objs/byte/repro_core__Consensus.cmt"
+    [ ("inst_state", "acks"); ("inst_state", "proposals"); ("inst_state", "estimates") ];
+  check_unit "../lib/core/.repro_core.objs/byte/repro_core__Replica.cmt"
+    [ ("t", "offers"); ("t", "rchannel"); ("t", "heartbeat"); ("t", "impl") ];
+  let audited lib m =
+    let str, unit =
+      structure_of_cmt
+        (Printf.sprintf "../lib/%s/.repro_%s.objs/byte/repro_%s__%s.cmt" lib lib lib m)
+    in
+    fst (Snapshot_rule.debug_pairs ?unit str) <> []
+  in
+  List.iter
+    (fun (lib, m) ->
+      Alcotest.(check bool) (Printf.sprintf "%s.%s audited" lib m) true (audited lib m))
+    [
+      ("sim", "Engine"); ("sim", "Event_queue"); ("sim", "Cpu"); ("sim", "Rng");
+      ("net", "Network"); ("net", "Rchannel"); ("fd", "Heartbeat_fd");
+      ("framework", "Event_bus"); ("core", "Flow_control"); ("core", "Rbcast");
+      ("core", "Consensus"); ("core", "Consensus_classic"); ("core", "Abcast_modular");
+      ("core", "Abcast_indirect"); ("core", "Abcast_monolithic"); ("core", "Replica");
+      ("core", "Group"); ("obs", "Obs"); ("workload", "Generator"); ("fault", "Monitor");
+    ];
+  Alcotest.(check bool) "net.Net_stats not audited" false (audited "net" "Net_stats")
 
 (* ---- JSON output ---- *)
 

@@ -131,31 +131,6 @@ let test_noop_handles_write_nothing () =
   Alcotest.(check (list (pair string int))) "no counters" [] (Obs.counters Obs.noop);
   Alcotest.(check int) "no histograms" 0 (List.length (Obs.histograms Obs.noop))
 
-(* Replay restores a sink under protocol modules that resolved their
-   handles when the world was built: the refill must keep every slot. *)
-let test_handles_survive_restore () =
-  let obs = Obs.create () in
-  (* Resolved against name order, so a rebuild that re-slots the names
-     (sorted, as the snapshot lists them) would swap the two handles. *)
-  let z = Obs.counter obs "z" and a = Obs.counter obs "a" in
-  let h = Obs.histogram obs "h" in
-  Obs.bump obs z;
-  Obs.add obs a 5;
-  Obs.sample obs h 1.0;
-  let snap = Obs.snapshot obs in
-  Obs.add obs z 10;
-  Obs.sample obs h 2.0;
-  Obs.incr obs "only.after";
-  Obs.restore obs snap;
-  Alcotest.(check (list (pair string int))) "restored" [ ("a", 5); ("z", 1) ]
-    (Obs.counters obs);
-  Obs.bump obs z;
-  Obs.sample obs h 3.0;
-  Alcotest.(check (list (pair string int))) "handles count on" [ ("a", 5); ("z", 2) ]
-    (Obs.counters obs);
-  Alcotest.(check (list (float 0.))) "histogram handle samples on" [ 1.0; 3.0 ]
-    (Repro_obs.Histogram.samples (List.assoc "h" (Obs.histograms obs)))
-
 let test_bump_allocates_nothing () =
   let obs = Obs.create () in
   let c = Obs.counter obs "hot" in
@@ -558,7 +533,6 @@ let () =
             test_histogram_handle_listed_after_first_sample;
           Alcotest.test_case "noop handles write nothing" `Quick
             test_noop_handles_write_nothing;
-          Alcotest.test_case "handles survive restore" `Quick test_handles_survive_restore;
           Alcotest.test_case "bumps allocate nothing" `Quick test_bump_allocates_nothing;
         ] );
       ( "jsonl",

@@ -1,5 +1,5 @@
 (* The time-travel subsystem (lib/replay + the per-module snapshot
-   pairs): codec round-trips, snapshot/restore round-trips, and the
+   sections): codec round-trips, rejection of corrupt frame logs, and the
    observational-equivalence property the whole design rests on — a
    suffix resumed from any frame reproduces the t=0 run's observable
    bytes exactly, for all three stacks, and recording at any cadence
@@ -62,60 +62,6 @@ let prop_codec_roundtrip =
       List.length back = List.length sections
       && List.for_all2 Snapshot.equal_section sections back)
 
-(* ---- snapshot/restore round-trips over a live group ---- *)
-
-let fd_mode = `Heartbeat Repro_fd.Heartbeat_fd.default_config
-
-let busy_group kind =
-  let params = { (Params.default ~n:3) with Params.seed = 9 } in
-  let g = Group.create ~kind ~params ~fd_mode () in
-  List.iter (fun p -> Group.abcast g p ~size:256) [ 0; 1; 2 ];
-  Group.run_for g (Time.span_ms 500);
-  List.iter (fun p -> Group.abcast g p ~size:256) [ 0; 1; 2 ];
-  Group.run_for g (Time.span_ms 500);
-  g
-
-(* Same-instant whole-world round-trip: restoring every section right
-   back and re-snapshotting must reproduce the identical sections — the
-   restore side writes exactly the state the snapshot side reads, module
-   by module (tables are genuinely rebuilt, not skipped). *)
-let test_group_sections_roundtrip kind () =
-  let g = busy_group kind in
-  let secs = Group.sections g in
-  Alcotest.(check bool) "a rich composition" true (List.length secs > 10);
-  Group.restore_sections g secs;
-  let secs' = Group.sections g in
-  Alcotest.(check int) "same section list" (List.length secs) (List.length secs');
-  List.iter2
-    (fun (a : Snapshot.section) b ->
-      Alcotest.(check bool)
-        (Printf.sprintf "section %s round-trips" a.Snapshot.name)
-        true (Snapshot.equal_section a b))
-    secs secs'
-
-(* Cross-time restore of one replica's modules: snapshot at t1, keep
-   running, restore the t1 sections, and the re-read sections must equal
-   the t1 ones — the protocol modules' data planes really roll back. *)
-let test_replica_restore_rolls_back kind () =
-  let g = busy_group kind in
-  let r = Group.replica g 0 in
-  let secs1 = Replica.sections r in
-  List.iter (fun p -> Group.abcast g p ~size:256) [ 0; 1; 2 ];
-  Group.run_for g (Time.span_ms 700);
-  let changed =
-    List.exists2
-      (fun (a : Snapshot.section) b -> not (Snapshot.equal_section a b))
-      secs1 (Replica.sections r)
-  in
-  Alcotest.(check bool) "running on changed the state" true changed;
-  Replica.restore_sections r secs1;
-  List.iter2
-    (fun (a : Snapshot.section) b ->
-      Alcotest.(check bool)
-        (Printf.sprintf "section %s rolled back" a.Snapshot.name)
-        true (Snapshot.equal_section a b))
-    secs1 (Replica.sections r)
-
 (* ---- recording is invisible: any cadence = the unrecorded engine ---- *)
 
 let tiny_config kind =
@@ -152,6 +98,64 @@ let test_recording_invisible kind () =
     "span lines identical" true
     (Jsonl.span_lines obs1 = Jsonl.span_lines obs2)
 
+(* ---- corrupt logs: every decode failure is a Replay_error naming the file ---- *)
+
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+let write_file path s = Out_channel.with_open_bin path (fun oc -> output_string oc s)
+
+(* [s] with [b] written over it at [pos]. *)
+let overwrite s pos b =
+  String.sub s 0 pos ^ b ^ String.sub s (pos + String.length b)
+    (String.length s - pos - String.length b)
+
+let find_sub s needle =
+  let n = String.length needle in
+  let rec scan i =
+    if i + n > String.length s then Alcotest.failf "%S not found" needle
+    else if String.equal (String.sub s i n) needle then i
+    else scan (i + 1)
+  in
+  scan 0
+
+let test_corrupt_logs () =
+  with_temp_log @@ fun good ->
+  let obs = Obs.create ~max_events:0 () in
+  let _ = Replay.record_report ~obs ~every_ns:200_000_000 ~path:good (tiny_config Replica.Modular) in
+  let src = read_file good in
+  ignore (Replay.load good);
+  let max_len =
+    let b = Bytes.create 8 in
+    Bytes.set_int64_le b 0 (Int64.of_int max_int);
+    Bytes.to_string b
+  in
+  (* The log magic; the build digest's length field follows it. *)
+  let header = String.length "REPRO-RLOG\x01" in
+  (* The first frame's section encoding: its magic, then the section
+     count, then the first section name's length field. *)
+  let meta = find_sub src "REPRO-SNAP\x01" in
+  let cases =
+    [
+      ("truncated", String.sub src 0 (String.length src / 2));
+      ("garbage meta", overwrite src meta "NOT-A-SNAP!");
+      ("overflowing length", overwrite src header max_len);
+      ("overflowing section length", overwrite src (meta + 11 + 8) max_len);
+    ]
+  in
+  List.iter
+    (fun (what, bytes) ->
+      with_temp_log @@ fun path ->
+      write_file path bytes;
+      match Replay.load path with
+      | _ -> Alcotest.failf "%s log was accepted" what
+      | exception Replay.Replay_error m ->
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: error names the file (%s)" what m)
+          true
+          (String.length m > String.length path
+          && String.equal (String.sub m 0 (String.length path)) path)
+      | exception e -> Alcotest.failf "%s log raised %s" what (Printexc.to_string e))
+    cases
+
 (* ---- observational equivalence: every frame's suffix reproduces ---- *)
 
 let check_verify log =
@@ -170,7 +174,7 @@ let test_verify_report kind () =
   check_verify log
 
 (* An armed message adversary on top: drops, corruption, duplication and
-   reordering all snapshot/restore through the frames. *)
+   reordering all resume through the frames' world blobs. *)
 let adversary_schedule n =
   Campaign.random_schedule ~adversary:true (Rng.create ~seed:11) ~n
     ~horizon:(Time.span_s 1)
@@ -283,15 +287,8 @@ let () =
     [
       ( "codec",
         [ QCheck_alcotest.to_alcotest prop_codec_roundtrip ] );
-      ( "roundtrip",
-        per_kind (fun kind tag ->
-            Alcotest.test_case
-              (tag ^ ": whole-group sections round-trip") `Quick
-              (test_group_sections_roundtrip kind))
-        @ per_kind (fun kind tag ->
-              Alcotest.test_case
-                (tag ^ ": replica restore rolls back") `Quick
-                (test_replica_restore_rolls_back kind)) );
+      ( "load",
+        [ Alcotest.test_case "corrupt logs are rejected by name" `Quick test_corrupt_logs ] );
       ( "equivalence",
         per_kind (fun kind tag ->
             Alcotest.test_case
