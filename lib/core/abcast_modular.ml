@@ -45,18 +45,7 @@ let create ~params ~me ~diffuse ~consensus ~on_adeliver ?(obs = Obs.noop) () =
    (the Fig. 5 pipeline). *)
 let maybe_propose t =
   if t.proposed_up_to < t.next_decide && not (Batch.is_empty t.pending) then begin
-    let batch =
-      (* Common case: everything pending fits under the cap, and the
-         proposal is the pending batch itself — no list round-trip. *)
-      if Batch.size t.pending <= t.params.Params.batch_cap then t.pending
-      else
-        let msgs = Batch.to_list t.pending in
-        let rec take acc k = function
-          | m :: rest when k > 0 -> take (m :: acc) (k - 1) rest
-          | _ -> acc
-        in
-        Batch.of_list (take [] t.params.Params.batch_cap msgs)
-    in
+    let batch = Batch.take t.pending ~cap:t.params.Params.batch_cap in
     t.proposed_up_to <- t.next_decide;
     L.debug (fun m ->
         m "%a propose instance %d (%d msgs, %d pending)" Repro_net.Pid.pp t.me

@@ -5,26 +5,12 @@ module Obs = Repro_obs.Obs
 
 module L = (val Logs.src_log Log.mono)
 
-type inst_state = {
-  inst : int;
-  mutable round : int;
-  mutable estimate : Batch.t option;
-  mutable ts : int;
-  (* The per-round tables are association lists, newest first: a good run
-     uses one round, so a hash table per instance would be mostly empty. *)
-  mutable proposals : ((int * Pid.t) * Batch.t) list; (* (round, proposer) -> value *)
-  mutable acked_rounds : int list;
-  mutable acks : (int * Pid.t list ref) list;
-  mutable estimates : (int * (Pid.t * (int * Batch.t)) list ref) list;
-  mutable estimate_sent : int list;
-  mutable proposed_rounds : int list;
-  mutable solicited_rounds : int list;
-  mutable decided : Batch.t option;
-  mutable decided_here_round : int option; (* round in which I decided as proposer *)
-  mutable announced : bool; (* decision already carried by a later proposal or tag *)
-  mutable pending_requesters : Pid.t list;
-  mutable progress_timer : Engine.timer option;
-}
+module Ct = Ct_instances
+
+(* This engine's own per-instance state: a decision taken here as a
+   round's proposer keeps its round until a later proposal or tag has
+   carried it to the others. *)
+type announcement = Not_proposer | Unannounced of int | Announced
 
 type t = {
   engine : Engine.t;
@@ -37,12 +23,10 @@ type t = {
   obs : Obs.t;
   c_adelivers : Obs.counter;
   h_e2e_ms : Obs.histogram;
-  c_decisions : Obs.counter;
   c_abcasts : Obs.counter;
-  instances : (int, inst_state) Hashtbl.t;
+  ct : announcement Ct.t;
   delivered : Id_table.t;
   mutable next_deliver : int; (* next instance to adeliver *)
-  mutable max_decided : int; (* highest locally decided instance *)
   mutable launched : int; (* highest instance this process launched *)
   mutable pool : Batch.t; (* coordinator-role pool of unordered messages *)
   mutable own_unsent : App_msg.t list; (* own messages not yet conveyed *)
@@ -57,23 +41,10 @@ type t = {
          slots freeing) hold for that very ack instead of going standalone *)
   mutable delivered_count : int;
   mutable kick_timer : Engine.timer option;
-  mutable catchup_timer : Engine.timer option;
-      (* armed while [next_deliver <= max_decided], i.e. a decided instance
-         sits above an undecided hole; see [arm_catchup] *)
   decision_rb : (int * int) Rbcast.t option ref;
       (* reliable broadcast of standalone decision tags, used only in the
          [cheap_decision = false] ablation *)
 }
-
-let coord t ~round = Params.coordinator t.params ~round
-
-let next_unsuspected_round t ~from =
-  let rec scan r tries =
-    if tries = 0 then from
-    else if Fd.is_suspected t.fd (coord t ~round:r) then scan (r + 1) (tries - 1)
-    else r
-  in
-  scan from t.params.Params.n
 
 (* The steward launches new instances and receives stray abcast messages:
    the lowest-pid process this one does not suspect (p1 in good runs). *)
@@ -83,62 +54,6 @@ let steward t =
   if s >= t.params.Params.n then 0 else s
 
 let am_steward t = steward t = t.me
-
-let proposal s ~round ~proposer =
-  List.find_map
-    (fun ((r, p), v) -> if Int.equal r round && Pid.equal p proposer then Some v else None)
-    s.proposals
-
-let set_proposal s ~round ~proposer v =
-  s.proposals <-
-    ((round, proposer), v)
-    :: List.filter
-         (fun ((r, p), _) -> not (Int.equal r round && Pid.equal p proposer))
-         s.proposals
-
-let round_slot l ~round =
-  List.find_map (fun (r, slot) -> if Int.equal r round then Some slot else None) l
-
-(* The coordinator's ack slot for [round], created empty if absent. *)
-let ack_slot s ~round =
-  match round_slot s.acks ~round with
-  | Some slot -> slot
-  | None ->
-    let slot = ref [] in
-    s.acks <- (round, slot) :: s.acks;
-    slot
-
-let state t inst =
-  match Hashtbl.find_opt t.instances inst with
-  | Some s -> s
-  | None ->
-    let s =
-      {
-        inst;
-        round = 1;
-        estimate = None;
-        ts = 0;
-        proposals = [];
-        acked_rounds = [];
-        acks = [];
-        estimates = [];
-        estimate_sent = [];
-        proposed_rounds = [];
-        solicited_rounds = [];
-        decided = None;
-        decided_here_round = None;
-        announced = false;
-        pending_requesters = [];
-        progress_timer = None;
-      }
-    in
-    Hashtbl.add t.instances inst s;
-    s
-
-let cancel_timer t slot =
-  match slot with Some timer -> Engine.cancel t.engine timer | None -> ()
-
-let send_to_others t msg = t.broadcast msg
 
 let delivered_mem t (m : App_msg.t) =
   Id_table.mem t.delivered ~origin:m.App_msg.id.App_msg.origin
@@ -185,155 +100,73 @@ let rec drain t =
 
 (* ---- Decision & pipeline ---- *)
 
-let choose_estimate ests =
-  let better (p1, (ts1, v1)) (p2, (ts2, v2)) =
-    if ts1 <> ts2 then ts1 > ts2
-    else if Batch.size v1 <> Batch.size v2 then Batch.size v1 > Batch.size v2
-    else p1 < p2
-  in
-  match ests with
-  | [] -> None
-  | first :: rest ->
-    let _, (_, v) =
-      List.fold_left (fun best e -> if better e best then e else best) first rest
-    in
-    Some v
-
-let take_cap t batch =
-  if Batch.size batch <= t.params.Params.batch_cap then batch
-  else
-    let msgs = Batch.to_list batch in
-    let rec take acc k = function
-      | m :: rest when k > 0 -> take (m :: acc) (k - 1) rest
-      | _ -> acc
-    in
-    Batch.of_list (take [] t.params.Params.batch_cap msgs)
-
 let take_own_unsent t =
   let piggyback = List.rev t.own_unsent in
   t.own_unsent <- [];
   piggyback
 
-(* Safety net against permanent delivery holes: the merged stack's cheap
-   decision dissemination (§4.3) rides the steward's follow-up proposals
-   and one-shot tags, so if the steward crashes before its retransmissions
-   complete, a process can keep deciding {e later} instances while an
-   earlier one stays unknown forever — nothing ever re-announces it. (The
-   modular stack's decision tags travel by reliable broadcast, whose
-   relay step survives the origin's crash — but a message adversary can
-   suppress the relays too, so both consensus variants now carry the same
-   net; see {!Consensus.arm_catchup}.) While a
-   decided instance sits above an undecided hole, periodically ask
-   everyone for the missing values; deciders answer [Decision_full],
-   undecided receivers park us in [pending_requesters]. Never fires in
-   good runs. *)
-let rec arm_catchup t =
-  if t.catchup_timer = None && t.max_decided >= t.next_deliver then
-    t.catchup_timer <-
-      Some
-        (Engine.schedule_after t.engine t.params.Params.round1_kick (fun () ->
-             t.catchup_timer <- None;
-             if t.max_decided >= t.next_deliver then begin
-               let requested = ref 0 in
-               let inst = ref t.next_deliver in
-               while !inst <= t.max_decided && !requested < 64 do
-                 let s = state t !inst in
-                 if s.decided = None then begin
-                   send_to_others t (Msg.Decision_request { inst = !inst });
-                   incr requested
-                 end;
-                 incr inst
-               done;
-               arm_catchup t
-             end))
-
-let rec arm_progress_timer t s =
-  cancel_timer t s.progress_timer;
+let rec arm_progress_timer t (s : announcement Ct.inst) =
+  Ct.cancel t.ct s.progress_timer;
   s.progress_timer <-
     Some
       (Engine.schedule_after t.engine t.params.Params.round1_kick (fun () ->
            if s.decided = None && (s.estimate <> None || s.acked_rounds <> []) then
-             advance_round t s ~target:(next_unsuspected_round t ~from:(s.round + 1))))
+             advance_round t s ~target:(Ct.next_unsuspected_round t.ct ~from:(s.round + 1))))
 
-and mono_decide t s value ~here_round =
-  match s.decided with
-  | Some _ -> ()
-  | None ->
-    s.decided <- Some value;
-    s.decided_here_round <- here_round;
+(* [here] is [Unannounced round] when this process decided as the
+   proposer of [round], [Not_proposer] otherwise. *)
+and mono_decide t (s : announcement Ct.inst) value ~here =
+  if s.decided = None then begin
+    s.ext <- here;
     if s.acked_rounds <> [] then t.active_acked <- t.active_acked - 1;
-    cancel_timer t s.progress_timer;
-    s.progress_timer <- None;
-    if s.inst > t.max_decided then t.max_decided <- s.inst;
-    List.iter
-      (fun q -> t.send ~dst:q (Msg.Decision_full { inst = s.inst; value }))
-      s.pending_requesters;
-    s.pending_requesters <- [];
-    L.debug (fun m -> m "%a decide i%d %a" Pid.pp t.me s.inst Batch.pp value);
-    Obs.bump t.obs t.c_decisions;
-    let sp =
-      if Obs.tracing t.obs then
-        Obs.span t.obs ~pid:t.me ~layer:`Abcast ~phase:"decide"
-          ~detail:(Printf.sprintf "i%d r%d (%d msgs)" s.inst s.round (Batch.size value))
-          ()
-      else Obs.Span.no_parent
-    in
     Hashtbl.replace t.decisions_buf s.inst value;
-    Obs.with_span_ctx t.obs sp (fun () -> drain t);
-    arm_catchup t;
+    Ct.decide t.ct s value ~deliver:(fun () -> drain t);
     (* Idle transition: the last instance just decided and nothing else is
        running — any held own messages must reach the coordinator now. *)
     if (not (pipeline_active t)) && t.own_unsent <> [] && not (am_steward t) then begin
       let held = take_own_unsent t in
       List.iter (fun m -> t.send ~dst:(steward t) (Msg.To_coord m)) held
     end
-
-(* Announce a decision that could not ride a follow-up proposal. *)
-and announce_standalone t s =
-  if not s.announced then begin
-    s.announced <- true;
-    match s.decided_here_round with
-    | None -> ()
-    | Some round ->
-      if t.params.Params.mono.Params.cheap_decision then
-        send_to_others t (Msg.Mono_decision_tag { inst = s.inst; round })
-      else begin
-        (* Ablation §4.3 off: disseminate the tag by reliable broadcast, as
-           the modular stack must. *)
-        match !(t.decision_rb) with
-        | Some rb -> Rbcast.rbcast rb (s.inst, round)
-        | None -> send_to_others t (Msg.Mono_decision_tag { inst = s.inst; round })
-      end
   end
 
+(* Announce a decision that could not ride a follow-up proposal. *)
+and announce_standalone t (s : announcement Ct.inst) =
+  match s.ext with
+  | Not_proposer | Announced -> ()
+  | Unannounced round ->
+    s.ext <- Announced;
+    if t.params.Params.mono.Params.cheap_decision then
+      t.broadcast (Msg.Mono_decision_tag { inst = s.inst; round })
+    else begin
+      (* Ablation §4.3 off: disseminate the tag by reliable broadcast, as
+         the modular stack must. *)
+      match !(t.decision_rb) with
+      | Some rb -> Rbcast.rbcast rb (s.inst, round)
+      | None -> t.broadcast (Msg.Mono_decision_tag { inst = s.inst; round })
+    end
+
 and maybe_launch t =
-  let k = t.max_decided + 1 in
+  let k = Ct.max_decided t.ct + 1 in
   if
     am_steward t && t.launched < k
     && (not (Batch.is_empty t.pool))
     && k = t.next_deliver (* all previous instances fully delivered here *)
   then begin
-    let s = state t k in
+    let s = Ct.state t.ct k in
     if s.decided = None && not (List.mem 1 s.proposed_rounds) then begin
-      let proposal = take_cap t t.pool in
+      let proposal = Batch.take t.pool ~cap:t.params.Params.batch_cap in
       t.pool <- Batch.diff t.pool proposal;
       t.launched <- k;
-      s.proposed_rounds <- 1 :: s.proposed_rounds;
-      set_proposal s ~round:1 ~proposer:t.me proposal;
-      s.estimate <- Some proposal;
-      s.ts <- 1;
-      ack_slot s ~round:1 := [ t.me ];
+      Ct.own_proposal t.ct s ~round:1 proposal;
       let decided =
         if k = 0 then None
         else
-          let prev = state t (k - 1) in
-          match prev.decided_here_round with
-          | Some round
-            when t.params.Params.mono.Params.combine_proposal_decision
-                 && not prev.announced ->
-            prev.announced <- true;
+          let prev = Ct.state t.ct (k - 1) in
+          match prev.ext with
+          | Unannounced round when t.params.Params.mono.Params.combine_proposal_decision ->
+            prev.ext <- Announced;
             Some (k - 1, round)
-          | Some _ | None -> None
+          | Unannounced _ | Not_proposer | Announced -> None
       in
       L.debug (fun m ->
           m "%a launch i%d (%d msgs%s)" Pid.pp t.me k (Batch.size proposal)
@@ -348,50 +181,38 @@ and maybe_launch t =
         else Obs.Span.no_parent
       in
       Obs.with_span_ctx t.obs sp (fun () ->
-          send_to_others t (Msg.Prop_dec { inst = k; round = 1; proposal; decided });
+          t.broadcast (Msg.Prop_dec { inst = k; round = 1; proposal; decided });
           arm_progress_timer t s;
           check_majority t s ~round:1)
     end
   end
 
-and post_decide_coordinator t s =
+and post_decide_coordinator t (s : announcement Ct.inst) =
   (* Decided as the proposer of a round: either the decision rides the next
      proposal, or it must be announced standalone. *)
   maybe_launch t;
-  if not s.announced then announce_standalone t s
+  announce_standalone t s
 
-and check_majority t s ~round =
-  if s.decided = None && List.mem round s.proposed_rounds then
-    match round_slot s.acks ~round with
-    | Some slot when List.length !slot >= Params.majority t.params -> begin
-      match proposal s ~round ~proposer:t.me with
-      | Some value ->
-        if round = 1 && t.params.Params.mono.Params.combine_proposal_decision then begin
-          mono_decide t s value ~here_round:(Some round);
-          post_decide_coordinator t s
-        end
-        else begin
-          (* Recovery rounds (and the §4.1-off ablation) disseminate
-             explicitly; recovery uses the full value for robustness. *)
-          mono_decide t s value ~here_round:(Some round);
-          if round = 1 then post_decide_coordinator t s
-          else begin
-            s.announced <- true;
-            send_to_others t (Msg.Decision_full { inst = s.inst; value });
-            maybe_launch t
-          end
-        end
-      | None -> ()
-    end
-    | Some _ | None -> ()
+and check_majority t (s : announcement Ct.inst) ~round =
+  if
+    s.decided = None
+    && List.mem round s.proposed_rounds
+    && Ct.has_ack_majority t.ct s ~round
+  then
+    match Ct.proposal s ~round ~proposer:t.me with
+    | Some value ->
+      mono_decide t s value ~here:(Unannounced round);
+      if round = 1 then post_decide_coordinator t s
+      else begin
+        (* Recovery rounds disseminate explicitly, with the full value
+           for robustness. *)
+        s.ext <- Announced;
+        t.broadcast (Msg.Decision_full { inst = s.inst; value });
+        maybe_launch t
+      end
+    | None -> ()
 
-and solicit t s ~round =
-  if not (List.mem round s.solicited_rounds) then begin
-    s.solicited_rounds <- round :: s.solicited_rounds;
-    send_to_others t (Msg.New_round { inst = s.inst; round })
-  end
-
-and send_estimate t s ~round =
+and send_estimate t (s : announcement Ct.inst) ~round =
   if s.estimate = None then s.estimate <- Some Batch.empty;
   match s.estimate with
   | Some value when not (List.mem round s.estimate_sent) ->
@@ -403,35 +224,23 @@ and send_estimate t s ~round =
       List.filter
         (fun m -> not (List.exists (fun m' -> App_msg.equal_id m.App_msg.id m'.App_msg.id) piggyback))
         t.own_unsent;
-    t.send ~dst:(coord t ~round)
+    t.send ~dst:(Ct.coord t.ct ~round)
       (Msg.Mono_estimate { inst = s.inst; round; value; ts = s.ts; piggyback })
   | Some _ | None -> ()
 
-and coordinator_estimates t s ~round =
-  let received =
-    match round_slot s.estimates ~round with Some slot -> !slot | None -> []
-  in
-  match s.estimate with
-  | Some v when not (List.mem_assoc t.me received) -> (t.me, (s.ts, v)) :: received
-  | _ -> received
-
-and maybe_propose_recovery t s ~round =
+and maybe_propose_recovery t (s : announcement Ct.inst) ~round =
   if
     s.decided = None && round >= 2
-    && coord t ~round = t.me
+    && Ct.coord t.ct ~round = t.me
     && not (List.mem round s.proposed_rounds)
   then begin
-    let ests = coordinator_estimates t s ~round in
+    let ests = Ct.coordinator_estimates t.ct s ~round in
     if List.length ests >= Params.majority t.params then begin
-      match choose_estimate ests with
+      match Ct.choose_estimate ests with
       | None -> ()
       | Some value ->
-        s.proposed_rounds <- round :: s.proposed_rounds;
         if round > s.round then s.round <- round;
-        set_proposal s ~round ~proposer:t.me value;
-        s.estimate <- Some value;
-        s.ts <- round;
-        ack_slot s ~round := [ t.me ];
+        Ct.own_proposal t.ct s ~round value;
         let sp =
           if Obs.tracing t.obs then
             Obs.span t.obs ~pid:t.me ~layer:`Abcast ~phase:"propose"
@@ -440,20 +249,21 @@ and maybe_propose_recovery t s ~round =
           else Obs.Span.no_parent
         in
         Obs.with_span_ctx t.obs sp (fun () ->
-            send_to_others t (Msg.Prop_dec { inst = s.inst; round; proposal = value; decided = None });
+            t.broadcast
+              (Msg.Prop_dec { inst = s.inst; round; proposal = value; decided = None });
             arm_progress_timer t s;
             check_majority t s ~round)
     end
   end
 
-and advance_round t s ~target =
+and advance_round t (s : announcement Ct.inst) ~target =
   if s.decided = None && target > s.round then begin
     L.debug (fun m ->
         m "%a advance i%d r%d->r%d" Pid.pp t.me s.inst s.round target);
     s.round <- target;
-    if coord t ~round:target = t.me then begin
+    if Ct.coord t.ct ~round:target = t.me then begin
       maybe_propose_recovery t s ~round:target;
-      if not (List.mem target s.proposed_rounds) then solicit t s ~round:target
+      if not (List.mem target s.proposed_rounds) then Ct.solicit t.ct s ~round:target
     end
     else send_estimate t s ~round:target;
     arm_progress_timer t s
@@ -462,14 +272,10 @@ and advance_round t s ~target =
 (* ---- Decision tags ---- *)
 
 let handle_decision_tag t ~inst ~round ~proposer =
-  let s = state t inst in
-  if s.decided = None then
-    match proposal s ~round ~proposer with
-    | Some value -> mono_decide t s value ~here_round:None
-    | None ->
-      (* Tag without the matching proposal: fetch the value from anyone who
-         decided (at least the proposer, if correct). *)
-      send_to_others t (Msg.Decision_request { inst })
+  let s = Ct.state t.ct inst in
+  match Ct.announced_value t.ct s ~round ~proposer ~value:None with
+  | Some value -> mono_decide t s value ~here:Not_proposer
+  | None -> ()
 
 (* ---- Abcast entry ---- *)
 
@@ -491,7 +297,7 @@ let flush_kick t =
   end
 
 let rec arm_kick t =
-  cancel_timer t t.kick_timer;
+  Ct.cancel t.ct t.kick_timer;
   t.kick_timer <-
     Some
       (Engine.schedule_after t.engine t.params.Params.round1_kick (fun () ->
@@ -526,7 +332,7 @@ let abcast t m =
         else
           (* Ablation §4.2 off: diffuse to everyone like the modular stack;
              the steward will pick it up below via [receive]. *)
-          send_to_others t (Msg.To_coord m))
+          t.broadcast (Msg.To_coord m))
   end
 
 (* ---- Receive ---- *)
@@ -536,7 +342,7 @@ let handle_prop_dec t ~src ~inst ~round ~proposal ~decided =
      decision: the decision frees window slots, and those admissions must
      ride the ack we are about to send (Fig. 6's "ack + diffusion"). *)
   let will_ack =
-    let s = state t inst in
+    let s = Ct.state t.ct inst in
     s.decided = None && round >= s.round
     && (not (Fd.is_suspected t.fd src))
     && not (List.mem round s.acked_rounds)
@@ -546,20 +352,17 @@ let handle_prop_dec t ~src ~inst ~round ~proposal ~decided =
   | Some (d, dr) -> handle_decision_tag t ~inst:d ~round:dr ~proposer:src
   | None -> ());
   t.ack_imminent <- false;
-  let s = state t inst in
+  let s = Ct.state t.ct inst in
   if s.decided <> None then begin
-    match s.decided with
-    | Some value when round >= s.round ->
-      (* The proposer missed our decision (e.g. recovery ended first). *)
-      t.send ~dst:src (Msg.Decision_full { inst; value })
-    | Some _ | None -> ()
+    (* The proposer missed our decision (e.g. recovery ended first). *)
+    if round >= s.round then Ct.reply_decision t.ct s ~dst:src
   end
   else if round >= s.round then begin
     s.round <- round;
-    set_proposal s ~round ~proposer:src proposal;
+    Ct.set_proposal s ~round ~proposer:src proposal;
     if s.estimate = None then s.estimate <- Some proposal;
     if Fd.is_suspected t.fd src then
-      advance_round t s ~target:(next_unsuspected_round t ~from:(round + 1))
+      advance_round t s ~target:(Ct.next_unsuspected_round t.ct ~from:(round + 1))
     else if not (List.mem round s.acked_rounds) then begin
       if s.acked_rounds = [] then t.active_acked <- t.active_acked + 1;
       s.acked_rounds <- round :: s.acked_rounds;
@@ -585,81 +388,55 @@ let handle_ack_diff t ~src ~inst ~round ~piggyback =
   (* Piggybacked messages are ingested no matter how late the ack is —
      otherwise they would be lost. *)
   List.iter (fun m -> pool_add t m) piggyback;
-  let s = state t inst in
-  (if s.decided = None && List.mem round s.proposed_rounds then begin
-     let slot = ack_slot s ~round in
-     if not (List.mem src !slot) then slot := src :: !slot;
-     check_majority t s ~round
-   end);
+  let s = Ct.state t.ct inst in
+  if s.decided = None && List.mem round s.proposed_rounds then begin
+    Ct.add_ack s ~round ~src;
+    check_majority t s ~round
+  end;
   (* New pool content may allow launching the next instance. *)
   maybe_launch t
 
 let handle_mono_estimate t ~src ~inst ~round ~ts ~value ~piggyback =
   List.iter (fun m -> pool_add t m) piggyback;
-  let s = state t inst in
-  if s.decided <> None then begin
-    match s.decided with
-    | Some value -> t.send ~dst:src (Msg.Decision_full { inst; value })
-    | None -> ()
-  end
+  let s = Ct.state t.ct inst in
+  if s.decided <> None then Ct.reply_decision t.ct s ~dst:src
   else if round >= 2 then begin
     if round > s.round then s.round <- round;
-    (match round_slot s.estimates ~round with
-    | Some slot ->
-      if not (List.mem_assoc src !slot) then slot := (src, (ts, value)) :: !slot
-    | None -> s.estimates <- (round, ref [ (src, (ts, value)) ]) :: s.estimates);
-    if coord t ~round = t.me then begin
+    Ct.record_estimate s ~round ~src ~ts ~value;
+    if Ct.coord t.ct ~round = t.me then begin
       maybe_propose_recovery t s ~round;
-      if not (List.mem round s.proposed_rounds) then solicit t s ~round
+      if not (List.mem round s.proposed_rounds) then Ct.solicit t.ct s ~round
     end
   end;
   maybe_launch t
 
 let handle_new_round t ~src ~inst ~round =
-  let s = state t inst in
-  match s.decided with
-  | Some value -> t.send ~dst:src (Msg.Decision_full { inst; value })
-  | None ->
-    if round > s.round then advance_round t s ~target:round
-    else if round = s.round && coord t ~round <> t.me then send_estimate t s ~round
-
-let handle_decision_request t ~src ~inst =
-  let s = state t inst in
-  match s.decided with
-  | Some value -> t.send ~dst:src (Msg.Decision_full { inst; value })
-  | None ->
-    if not (List.mem src s.pending_requesters) then
-      s.pending_requesters <- src :: s.pending_requesters
+  let s = Ct.state t.ct inst in
+  if s.decided <> None then Ct.reply_decision t.ct s ~dst:src
+  else if round > s.round then advance_round t s ~target:round
+  else if round = s.round && Ct.coord t.ct ~round <> t.me then send_estimate t s ~round
 
 let on_suspicion t suspect =
-  (* Advance in instance order: the table's hash order must not decide
-     which instance's round change (and its sends) is scheduled first. *)
-  let affected =
-    Hashtbl.fold
-      (fun _ s acc ->
-        if s.decided = None && (s.estimate <> None || s.acked_rounds <> []) then
-          let waiting_on =
-            (* The process whose silence blocks this instance: the proposer
-               we acked in the current round (lowest pid when several
-               proposed, so arrival order never picks), or the schedule
-               coordinator. *)
-            let acked_proposer =
-              List.fold_left
-                (fun acc ((r, p), _) -> if Int.equal r s.round then p :: acc else acc)
-                [] s.proposals
-              |> List.sort Pid.compare
-              |> function p :: _ -> Some p | [] -> None
-            in
-            match acked_proposer with Some p -> p | None -> coord t ~round:s.round
-          in
-          if waiting_on = suspect then s :: acc else acc
-        else acc)
-      t.instances []
-    |> List.sort (fun a b -> compare a.inst b.inst)
-  in
-  List.iter
-    (fun s -> advance_round t s ~target:(next_unsuspected_round t ~from:(s.round + 1)))
-    affected;
+  Ct.select t.ct (fun s ->
+      s.decided = None
+      && (s.estimate <> None || s.acked_rounds <> [])
+      &&
+      (* The process whose silence blocks this instance: the proposer we
+         acked in the current round (lowest pid when several proposed, so
+         arrival order never picks), or the schedule coordinator. *)
+      let acked_proposer =
+        List.fold_left
+          (fun acc ((r, p), _) -> if Int.equal r s.round then p :: acc else acc)
+          [] s.proposals
+        |> List.sort Pid.compare
+        |> function p :: _ -> Some p | [] -> None
+      in
+      let waiting_on =
+        match acked_proposer with Some p -> p | None -> Ct.coord t.ct ~round:s.round
+      in
+      waiting_on = suspect)
+  |> List.iter (fun s ->
+         advance_round t s ~target:(Ct.next_unsuspected_round t.ct ~from:(s.round + 1)));
   (* Stewardship may have changed; stray messages are re-routed by the
      kick timer, which is armed whenever own messages are outstanding. *)
   maybe_launch t
@@ -678,11 +455,11 @@ let receive t ~src msg =
     pool_add t m;
     maybe_launch t
   | Msg.New_round { inst; round } -> handle_new_round t ~src ~inst ~round
-  | Msg.Decision_request { inst } -> handle_decision_request t ~src ~inst
+  | Msg.Decision_request { inst } -> Ct.answer_request t.ct (Ct.state t.ct inst) ~src
   | Msg.Decision_full { inst; value } ->
-    let s = state t inst in
+    let s = Ct.state t.ct inst in
     if s.decided = None then begin
-      mono_decide t s value ~here_round:None;
+      mono_decide t s value ~here:Not_proposer;
       maybe_launch t
     end
   | Msg.Decision_tag { meta; inst; round; value = _ } -> begin
@@ -708,16 +485,15 @@ let create ~engine ~params ~me ~fd ~send ~broadcast ~on_adeliver ?(obs = Obs.noo
       obs;
       c_adelivers = Obs.counter obs "abcast.adelivers";
       h_e2e_ms = Obs.histogram obs "abcast.e2e_ms";
-      c_decisions = Obs.counter obs "abcast.decisions";
       c_abcasts = Obs.counter obs "abcast.abcasts";
-      (* Instances are never removed, so the table grows with the run. It
-         starts small: sized for a whole window, it would be most of what
-         building a group allocates, in one block straight into the major
-         heap; the doublings cost a few copies per run. *)
-      instances = Hashtbl.create 256;
+      ct =
+        Ct.create ~engine ~params ~me ~fd ~send ~broadcast ~log:(module L) ~first_round:1
+          ~first_ext:Not_proposer
+          ~obs ~layer:`Abcast
+          ~decisions:(Obs.counter obs "abcast.decisions")
+          ~decide_ms:None;
       delivered = Id_table.create ~n:params.Params.n;
       next_deliver = 0;
-      max_decided = -1;
       launched = -1;
       pool = Batch.empty;
       own_unsent = [];
@@ -727,7 +503,6 @@ let create ~engine ~params ~me ~fd ~send ~broadcast ~on_adeliver ?(obs = Obs.noo
       ack_imminent = false;
       delivered_count = 0;
       kick_timer = None;
-      catchup_timer = None;
       decision_rb = ref None;
     }
   in
@@ -748,18 +523,13 @@ let create ~engine ~params ~me ~fd ~send ~broadcast ~on_adeliver ?(obs = Obs.noo
 let delivered_count t = t.delivered_count
 let decided_instances t = t.next_deliver
 
-let rounds_used t ~inst =
-  match Hashtbl.find_opt t.instances inst with Some s -> s.round | None -> 0
-
 (* ---- Snapshot ---- *)
 
 module Snap = Snapshot
 
 type ab_data = {
-  ad_instances : (int * inst_state) list; (* ascending inst, timers stripped *)
   ad_delivered : Id_table.t;
   ad_next_deliver : int;
-  ad_max_decided : int;
   ad_launched : int;
   ad_pool : Batch.t;
   ad_own_unsent : App_msg.t list;
@@ -776,15 +546,16 @@ let snapshot ?name t =
     | Some n -> n
     | None -> Printf.sprintf "core.abcast_monolithic.p%d" (t.me + 1)
   in
-  let instances =
-    Hashtbl.fold
-      (fun k s acc -> (k, { s with progress_timer = None }) :: acc)
-      t.instances []
-    |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
-  in
   let decisions_buf =
     Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.decisions_buf []
     |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+  in
+  (* Decisions taken here as proposer that no later proposal or tag has
+     carried yet: nonzero outside a pipeline step means nobody else was
+     told (a crashed steward leaves such holes behind). *)
+  let unannounced =
+    Ct.select t.ct (fun s ->
+        match s.ext with Unannounced _ -> true | Not_proposer | Announced -> false)
   in
   (* Decided values for the most recent instances, rendered for bisect's
      state-diff report: when a total-order violation localizes to a
@@ -792,44 +563,37 @@ let snapshot ?name t =
   let decision_window =
     List.filter_map
       (fun k ->
-        if k < 0 then None
-        else
-          match Hashtbl.find_opt t.instances k with
-          | Some { decided = Some b; _ } ->
-            Some
-              ( Printf.sprintf "decision.i%d" k,
-                Snap.String (Fmt.str "%a" Batch.pp b) )
-          | _ -> None)
-      (List.init 8 (fun i -> t.max_decided - 7 + i))
+        match Ct.find t.ct k with
+        | Some { decided = Some b; _ } ->
+          Some (Printf.sprintf "decision.i%d" k, Snap.String (Fmt.str "%a" Batch.pp b))
+        | _ -> None)
+      (List.init 8 (fun i -> Ct.max_decided t.ct - 7 + i))
   in
-  Snap.make ~name ~version:1
-    ~data:
-      (Snap.pack
-         {
-           ad_instances = instances;
-           ad_delivered = t.delivered;
-           ad_next_deliver = t.next_deliver;
-           ad_max_decided = t.max_decided;
-           ad_launched = t.launched;
-           ad_pool = t.pool;
-           ad_own_unsent = t.own_unsent;
-           ad_own_outstanding = t.own_outstanding;
-           ad_decisions_buf = decisions_buf;
-           ad_active_acked = t.active_acked;
-           ad_ack_imminent = t.ack_imminent;
-           ad_delivered_count = t.delivered_count;
-         })
-    ([
-       ("next_deliver", Snap.Int t.next_deliver);
-       ("max_decided", Snap.Int t.max_decided);
-       ("launched", Snap.Int t.launched);
-       ("delivered_count", Snap.Int t.delivered_count);
-       ("active_acked", Snap.Int t.active_acked);
-       ("ack_imminent", Snap.Bool t.ack_imminent);
-       ("instances", Snap.Int (List.length instances));
-       ("pool", Snap.Int (Batch.size t.pool));
-       ("own_unsent", Snap.Int (List.length t.own_unsent));
-       ("own_outstanding", Snap.Int (Batch.size t.own_outstanding));
-       ("buffered_decisions", Snap.Int (List.length decisions_buf));
-     ]
-    @ decision_window)
+  Ct.snapshot ~name ~strip:Fun.id
+    ~fields:
+      ([
+         ("next_deliver", Snap.Int t.next_deliver);
+         ("launched", Snap.Int t.launched);
+         ("delivered_count", Snap.Int t.delivered_count);
+         ("active_acked", Snap.Int t.active_acked);
+         ("ack_imminent", Snap.Bool t.ack_imminent);
+         ("pool", Snap.Int (Batch.size t.pool));
+         ("own_unsent", Snap.Int (List.length t.own_unsent));
+         ("own_outstanding", Snap.Int (Batch.size t.own_outstanding));
+         ("buffered_decisions", Snap.Int (List.length decisions_buf));
+         ("unannounced", Snap.Int (List.length unannounced));
+       ]
+      @ decision_window)
+    {
+      ad_delivered = t.delivered;
+      ad_next_deliver = t.next_deliver;
+      ad_launched = t.launched;
+      ad_pool = t.pool;
+      ad_own_unsent = t.own_unsent;
+      ad_own_outstanding = t.own_outstanding;
+      ad_decisions_buf = decisions_buf;
+      ad_active_acked = t.active_acked;
+      ad_ack_imminent = t.ack_imminent;
+      ad_delivered_count = t.delivered_count;
+    }
+    t.ct

@@ -63,11 +63,10 @@ val delivered_count : t -> int
 val decided_instances : t -> int
 (** Instances adelivered so far (= next expected instance number). *)
 
-val rounds_used : t -> inst:int -> int
-(** Highest round entered for an instance (1 in good runs); 0 if unknown. *)
-
 val snapshot : ?name:string -> t -> Repro_sim.Snapshot.section
-(** Default section name ["core.abcast_monolithic.p<me>"]. Carries every
-    consensus instance (timers stripped), the delivery cursor, the
-    coordinator pool, and [decision.i<k>] fields rendering the decided
-    batches of the most recent instances for bisect's state-diff report. *)
+(** Default section name ["core.abcast_monolithic.p<me>"]. The instance
+    table summary and payload of {!Consensus.snapshot}, then the delivery
+    cursor, the coordinator pool, [unannounced] (decisions taken here as
+    proposer that no later proposal or tag has carried yet), and
+    [decision.i<k>] fields rendering the decided batches of the most
+    recent instances for bisect's state-diff report. *)

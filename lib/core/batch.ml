@@ -12,6 +12,15 @@ let add t m = M.add m.App_msg.id m t
 let of_list l = List.fold_left add empty l
 let to_list t = List.map snd (M.bindings t)
 let size = M.cardinal
+let take t ~cap =
+  if size t <= cap then t
+  else
+    let rec first acc k = function
+      | m :: rest when k > 0 -> first (m :: acc) (k - 1) rest
+      | _ -> acc
+    in
+    of_list (first [] cap (to_list t))
+
 let payload_bytes t = M.fold (fun _ m acc -> acc + m.App_msg.size) t 0
 let mem t id = M.mem id t
 let union a b = M.union (fun _ m _ -> Some m) a b

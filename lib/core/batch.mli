@@ -21,6 +21,9 @@ val to_list : t -> App_msg.t list
 val size : t -> int
 (** Number of messages (the paper's per-consensus [M]). *)
 
+val take : t -> cap:int -> t
+(** The first [cap] messages in identity order; [t] itself when it fits. *)
+
 val payload_bytes : t -> int
 (** Sum of the payload sizes of all messages. *)
 

@@ -19,9 +19,20 @@ type consensus_impl = {
   c_snapshot : unit -> Snapshot.section;
 }
 
+(* The abcast module of a composed stack: reduction (§3.3) or indirect
+   consensus, behind one face. *)
+type abcast_impl = {
+  a_abcast : App_msg.t -> unit;
+  a_on_decide : inst:int -> Batch.t -> unit;
+  a_on_diffuse : App_msg.t -> unit;
+  a_direct : src:Pid.t -> Msg.t -> unit; (* payload traffic, off the bus *)
+  a_next_instance : unit -> int;
+  a_snapshot : unit -> Snapshot.section;
+}
+
 type stack_impl =
-  | Modular_stack of {
-      abcast : Abcast_modular.t;
+  | Composed_stack of {
+      abcast : abcast_impl;
       consensus : consensus_impl;
       rbcast : (int * int * Batch.t option) Rbcast.t;
       port_net_abcast : App_msg.t Event_bus.port;
@@ -31,14 +42,6 @@ type stack_impl =
   | Monolithic_stack of {
       mono : Abcast_monolithic.t;
       port_net : (Pid.t * Msg.t) Event_bus.port;
-    }
-  | Indirect_stack of {
-      abcast : Abcast_indirect.t;
-      consensus : consensus_impl;
-      rbcast : (int * int * Batch.t option) Rbcast.t;
-      port_net_abcast : App_msg.t Event_bus.port;
-      port_net_consensus : (Pid.t * Msg.t) Event_bus.port;
-      port_net_rbcast : (Pid.t * Msg.rb_meta * (int * int * Batch.t option)) Event_bus.port;
     }
 
 type t = {
@@ -71,9 +74,8 @@ let delivered_count t = t.delivered_count
 
 let instances_decided t =
   match t.impl with
-  | Some (Modular_stack s) -> Abcast_modular.next_instance s.abcast
+  | Some (Composed_stack s) -> s.abcast.a_next_instance ()
   | Some (Monolithic_stack s) -> Abcast_monolithic.decided_instances s.mono
-  | Some (Indirect_stack s) -> Abcast_indirect.next_instance s.abcast
   | None -> 0
 
 let deliveries t = List.rev t.rev_deliveries
@@ -103,9 +105,8 @@ let handle_adeliver t m =
 
 let stack_abcast t m =
   match t.impl with
-  | Some (Modular_stack s) -> Abcast_modular.abcast s.abcast m
+  | Some (Composed_stack s) -> s.abcast.a_abcast m
   | Some (Monolithic_stack s) -> Abcast_monolithic.abcast s.mono m
-  | Some (Indirect_stack s) -> Abcast_indirect.abcast s.abcast m
   | None -> assert false
 
 let rec admit_offers t =
@@ -250,6 +251,51 @@ let create ~kind ~params ~net ~me ?(fd_mode = `Good_run) ?(record_deliveries = t
         c_snapshot = (fun () -> Consensus_classic.snapshot c);
       }
   in
+  (* A composed stack: abcast over consensus over rbcast, three mounted
+     modules whose every crossing is an event-bus emission, charged the
+     dispatch cost. The abcast module names its own three ports. *)
+  let composed ~layers ~propose_port ~decide_port ~net_port ~make_abcast =
+    List.iter
+      (fun (name, description) -> Stack.mount stack { Stack.name; description })
+      layers;
+    let port_propose = Event_bus.port bus propose_port in
+    let port_decide = Event_bus.port bus decide_port in
+    let port_rbcast = Event_bus.port bus "consensus->rbcast.rbcast" in
+    let port_rdeliver = Event_bus.port bus "rbcast->consensus.rdeliver" in
+    let port_net_abcast = Event_bus.port bus net_port in
+    let port_net_consensus = Event_bus.port bus "net->consensus" in
+    let port_net_rbcast = Event_bus.port bus "net->rbcast" in
+    let rbcast =
+      Rbcast.create ~me ~n:params.Params.n
+        ~variant:params.Params.modular.Params.rbcast_variant
+        ~broadcast:(fun ~meta (inst, round, value) ->
+          broadcast (Msg.Decision_tag { meta; inst; round; value }))
+        ~deliver:(fun ~meta payload -> Event_bus.emit port_rdeliver (meta, payload))
+        ~obs ()
+    in
+    let consensus =
+      make_consensus
+        ~rbcast_decision:(fun ~inst ~round ~value ->
+          Event_bus.emit port_rbcast (inst, round, value))
+        ~on_decide:(fun ~inst value -> Event_bus.emit port_decide (inst, value))
+    in
+    let abcast =
+      make_abcast ~propose:(fun ~inst value -> Event_bus.emit port_propose (inst, value))
+    in
+    Event_bus.subscribe port_propose (fun (inst, value) -> consensus.c_propose ~inst value);
+    Event_bus.subscribe port_decide (fun (inst, value) -> abcast.a_on_decide ~inst value);
+    Event_bus.subscribe port_rbcast (fun payload -> Rbcast.rbcast rbcast payload);
+    Event_bus.subscribe port_rdeliver (fun (meta, (inst, round, value)) ->
+        consensus.c_rb_deliver ~proposer:meta.Msg.rb_origin ~inst ~round ~value);
+    Event_bus.subscribe port_net_abcast abcast.a_on_diffuse;
+    Event_bus.subscribe port_net_consensus (fun (src, msg) -> consensus.c_receive ~src msg);
+    Event_bus.subscribe port_net_rbcast (fun (src, meta, payload) ->
+        Rbcast.receive rbcast ~src ~meta payload);
+    Composed_stack
+      { abcast; consensus; rbcast; port_net_abcast; port_net_consensus; port_net_rbcast }
+  in
+  let diffuse m = broadcast (Msg.Diffuse m) in
+  let on_adeliver m = handle_adeliver t m in
   let impl =
     match kind with
     | Monolithic ->
@@ -260,122 +306,63 @@ let create ~kind ~params ~net ~me ?(fd_mode = `Good_run) ?(record_deliveries = t
         };
       let mono =
         Abcast_monolithic.create ~engine:(engine t) ~params ~me ~fd ~send ~broadcast
-          ~on_adeliver:(fun m -> handle_adeliver t m)
-          ~obs ()
+          ~on_adeliver ~obs ()
       in
       let port_net = Event_bus.port bus "net->abcast+" in
       Event_bus.subscribe port_net (fun (src, msg) ->
           Abcast_monolithic.receive mono ~src msg);
       Monolithic_stack { mono; port_net }
     | Modular ->
-      Stack.mount stack
-        { Stack.name = "ABcast"; description = "atomic broadcast by reduction (\xc2\xa73.3)" };
-      Stack.mount stack
-        { Stack.name = "Consensus"; description = "optimized Chandra-Toueg (\xc2\xa73.2)" };
-      Stack.mount stack
-        { Stack.name = "RBcast"; description = "reliable broadcast (\xc2\xa73.1)" };
-      (* Ports between microprotocols: every signal crossing a module
-         boundary is an event-bus emission, charged the dispatch cost. *)
-      let port_propose = Event_bus.port bus "abcast->consensus.propose" in
-      let port_decide = Event_bus.port bus "consensus->abcast.decide" in
-      let port_rbcast = Event_bus.port bus "consensus->rbcast.rbcast" in
-      let port_rdeliver = Event_bus.port bus "rbcast->consensus.rdeliver" in
-      let port_net_abcast = Event_bus.port bus "net->abcast" in
-      let port_net_consensus = Event_bus.port bus "net->consensus" in
-      let port_net_rbcast = Event_bus.port bus "net->rbcast" in
-      let rbcast =
-        Rbcast.create ~me ~n:params.Params.n
-          ~variant:params.Params.modular.Params.rbcast_variant
-          ~broadcast:(fun ~meta (inst, round, value) ->
-            broadcast (Msg.Decision_tag { meta; inst; round; value }))
-          ~deliver:(fun ~meta payload ->
-            Event_bus.emit port_rdeliver (meta, payload))
-          ~obs ()
-      in
-      let rbcast_decision ~inst ~round ~value =
-        Event_bus.emit port_rbcast (inst, round, value)
-      in
-      let on_decide ~inst value = Event_bus.emit port_decide (inst, value) in
-      let consensus = make_consensus ~rbcast_decision ~on_decide in
-      let abcast =
-        Abcast_modular.create ~params ~me
-          ~diffuse:(fun m -> broadcast (Msg.Diffuse m))
-          ~consensus:
-            {
-              Abcast_modular.propose =
-                (fun ~inst value -> Event_bus.emit port_propose (inst, value));
-            }
-          ~on_adeliver:(fun m -> handle_adeliver t m)
-          ~obs ()
-      in
-      Event_bus.subscribe port_propose (fun (inst, value) ->
-          consensus.c_propose ~inst value);
-      Event_bus.subscribe port_decide (fun (inst, value) ->
-          Abcast_modular.on_decide abcast ~inst value);
-      Event_bus.subscribe port_rbcast (fun payload -> Rbcast.rbcast rbcast payload);
-      Event_bus.subscribe port_rdeliver (fun (meta, (inst, round, value)) ->
-          consensus.c_rb_deliver ~proposer:meta.Msg.rb_origin ~inst ~round ~value);
-      Event_bus.subscribe port_net_abcast (fun m -> Abcast_modular.on_diffuse abcast m);
-      Event_bus.subscribe port_net_consensus (fun (src, msg) ->
-          consensus.c_receive ~src msg);
-      Event_bus.subscribe port_net_rbcast (fun (src, meta, payload) ->
-          Rbcast.receive rbcast ~src ~meta payload);
-      Modular_stack
-        { abcast; consensus; rbcast; port_net_abcast; port_net_consensus; port_net_rbcast }
+      composed
+        ~layers:
+          [
+            ("ABcast", "atomic broadcast by reduction (\xc2\xa73.3)");
+            ("Consensus", "optimized Chandra-Toueg (\xc2\xa73.2)");
+            ("RBcast", "reliable broadcast (\xc2\xa73.1)");
+          ]
+        ~propose_port:"abcast->consensus.propose" ~decide_port:"consensus->abcast.decide"
+        ~net_port:"net->abcast"
+        ~make_abcast:(fun ~propose ->
+          let a =
+            Abcast_modular.create ~params ~me ~diffuse
+              ~consensus:{ Abcast_modular.propose } ~on_adeliver ~obs ()
+          in
+          {
+            a_abcast = Abcast_modular.abcast a;
+            a_on_decide = Abcast_modular.on_decide a;
+            a_on_diffuse = Abcast_modular.on_diffuse a;
+            a_direct = (fun ~src:_ _ -> ());
+            a_next_instance = (fun () -> Abcast_modular.next_instance a);
+            a_snapshot = (fun () -> Abcast_modular.snapshot a);
+          })
     | Indirect ->
-      Stack.mount stack
-        {
-          Stack.name = "ABcast-I";
-          description = "atomic broadcast by indirect consensus (related work [12])";
-        };
-      Stack.mount stack
-        { Stack.name = "Consensus"; description = "orders message identifiers (\xc2\xa73.2 engine)" };
-      Stack.mount stack
-        { Stack.name = "RBcast"; description = "reliable broadcast (\xc2\xa73.1)" };
-      let port_propose = Event_bus.port bus "abcast-i->consensus.propose" in
-      let port_decide = Event_bus.port bus "consensus->abcast-i.decide" in
-      let port_rbcast = Event_bus.port bus "consensus->rbcast.rbcast" in
-      let port_rdeliver = Event_bus.port bus "rbcast->consensus.rdeliver" in
-      let port_net_abcast = Event_bus.port bus "net->abcast-i" in
-      let port_net_consensus = Event_bus.port bus "net->consensus" in
-      let port_net_rbcast = Event_bus.port bus "net->rbcast" in
-      let rbcast =
-        Rbcast.create ~me ~n:params.Params.n
-          ~variant:params.Params.modular.Params.rbcast_variant
-          ~broadcast:(fun ~meta (inst, round, value) ->
-            broadcast (Msg.Decision_tag { meta; inst; round; value }))
-          ~deliver:(fun ~meta payload -> Event_bus.emit port_rdeliver (meta, payload))
-          ~obs ()
-      in
-      let rbcast_decision ~inst ~round ~value =
-        Event_bus.emit port_rbcast (inst, round, value)
-      in
-      let on_decide ~inst value = Event_bus.emit port_decide (inst, value) in
-      let consensus = make_consensus ~rbcast_decision ~on_decide in
-      let abcast =
-        Abcast_indirect.create ~engine:(engine t) ~params ~me
-          ~diffuse:(fun m -> broadcast (Msg.Diffuse m))
-          ~send ~broadcast
-          ~consensus:
-            {
-              Abcast_indirect.propose =
-                (fun ~inst value -> Event_bus.emit port_propose (inst, value));
-            }
-          ~on_adeliver:(fun m -> handle_adeliver t m)
-          ~obs ()
-      in
-      Event_bus.subscribe port_propose (fun (inst, value) -> consensus.c_propose ~inst value);
-      Event_bus.subscribe port_decide (fun (inst, value) ->
-          Abcast_indirect.on_decide abcast ~inst value);
-      Event_bus.subscribe port_rbcast (fun payload -> Rbcast.rbcast rbcast payload);
-      Event_bus.subscribe port_rdeliver (fun (meta, (inst, round, value)) ->
-          consensus.c_rb_deliver ~proposer:meta.Msg.rb_origin ~inst ~round ~value);
-      Event_bus.subscribe port_net_abcast (fun m -> Abcast_indirect.on_diffuse abcast m);
-      Event_bus.subscribe port_net_consensus (fun (src, msg) -> consensus.c_receive ~src msg);
-      Event_bus.subscribe port_net_rbcast (fun (src, meta, payload) ->
-          Rbcast.receive rbcast ~src ~meta payload);
-      Indirect_stack
-        { abcast; consensus; rbcast; port_net_abcast; port_net_consensus; port_net_rbcast }
+      composed
+        ~layers:
+          [
+            ("ABcast-I", "atomic broadcast by indirect consensus (related work [12])");
+            ("Consensus", "orders message identifiers (\xc2\xa73.2 engine)");
+            ("RBcast", "reliable broadcast (\xc2\xa73.1)");
+          ]
+        ~propose_port:"abcast-i->consensus.propose" ~decide_port:"consensus->abcast-i.decide"
+        ~net_port:"net->abcast-i"
+        ~make_abcast:(fun ~propose ->
+          let a =
+            Abcast_indirect.create ~engine:(engine t) ~params ~me ~diffuse ~send ~broadcast
+              ~consensus:{ Abcast_indirect.propose } ~on_adeliver ~obs ()
+          in
+          {
+            a_abcast = Abcast_indirect.abcast a;
+            a_on_decide = Abcast_indirect.on_decide a;
+            a_on_diffuse = Abcast_indirect.on_diffuse a;
+            a_direct =
+              (fun ~src msg ->
+                match msg with
+                | Msg.Payload_push m -> Abcast_indirect.on_payload_push a m
+                | Msg.Payload_request { ids } -> Abcast_indirect.on_payload_request a ~src ids
+                | _ -> ());
+            a_next_instance = (fun () -> Abcast_indirect.next_instance a);
+            a_snapshot = (fun () -> Abcast_indirect.snapshot a);
+          })
   in
   t.impl <- Some impl;
   (* Demultiplexer: heartbeats feed the detector directly; protocol
@@ -389,7 +376,7 @@ let create ~kind ~params ~net ~me ?(fd_mode = `Good_run) ?(record_deliveries = t
       | _ -> begin
         match impl with
         | Monolithic_stack s -> Event_bus.emit s.port_net (src, msg)
-        | Modular_stack s -> begin
+        | Composed_stack s -> begin
           match msg with
           | Msg.Diffuse m -> Event_bus.emit s.port_net_abcast m
           | Msg.Decision_tag { meta; inst; round; value } ->
@@ -397,22 +384,7 @@ let create ~kind ~params ~net ~me ?(fd_mode = `Good_run) ?(record_deliveries = t
           | Msg.Estimate _ | Msg.Propose _ | Msg.Ack _ | Msg.Nack _ | Msg.New_round _
           | Msg.Decision_request _ | Msg.Decision_full _ ->
             Event_bus.emit s.port_net_consensus (src, msg)
-          | Msg.Heartbeat | Msg.Prop_dec _ | Msg.Ack_diff _ | Msg.Mono_estimate _
-          | Msg.Mono_decision_tag _ | Msg.To_coord _ | Msg.Payload_request _
-          | Msg.Payload_push _ ->
-            ()
-        end
-        | Indirect_stack s -> begin
-          match msg with
-          | Msg.Diffuse m -> Event_bus.emit s.port_net_abcast m
-          | Msg.Payload_push m -> Abcast_indirect.on_payload_push s.abcast m
-          | Msg.Payload_request { ids } ->
-            Abcast_indirect.on_payload_request s.abcast ~src ids
-          | Msg.Decision_tag { meta; inst; round; value } ->
-            Event_bus.emit s.port_net_rbcast (src, meta, (inst, round, value))
-          | Msg.Estimate _ | Msg.Propose _ | Msg.Ack _ | Msg.Nack _ | Msg.New_round _
-          | Msg.Decision_request _ | Msg.Decision_full _ ->
-            Event_bus.emit s.port_net_consensus (src, msg)
+          | Msg.Payload_push _ | Msg.Payload_request _ -> s.abcast.a_direct ~src msg
           | Msg.Heartbeat | Msg.Prop_dec _ | Msg.Ack_diff _ | Msg.Mono_estimate _
           | Msg.Mono_decision_tag _ | Msg.To_coord _ ->
             ()
@@ -508,10 +480,8 @@ let sections t =
   let stack =
     match t.impl with
     | None -> []
-    | Some (Modular_stack { abcast; consensus; rbcast; _ }) ->
-      [ Abcast_modular.snapshot abcast; consensus.c_snapshot (); Rbcast.snapshot rbcast ]
-    | Some (Indirect_stack { abcast; consensus; rbcast; _ }) ->
-      [ Abcast_indirect.snapshot abcast; consensus.c_snapshot (); Rbcast.snapshot rbcast ]
+    | Some (Composed_stack { abcast; consensus; rbcast; _ }) ->
+      [ abcast.a_snapshot (); consensus.c_snapshot (); Rbcast.snapshot rbcast ]
     | Some (Monolithic_stack { mono; _ }) -> [ Abcast_monolithic.snapshot mono ]
   in
   base @ rchannel @ fd @ [ bus ] @ stack

@@ -157,6 +157,7 @@ type frame = {
   f_at_ns : int;
   f_sections : Snapshot.section list;
   f_blob : string; (* Marshal [Closures] of the World.t root *)
+  f_blob_digest : string; (* Digest.string of [f_blob], checked before resuming *)
 }
 
 type log = {
@@ -170,7 +171,7 @@ type log = {
   l_observables : (string * string) list;
 }
 
-let log_magic = "REPRO-RLOG\x01"
+let log_magic = "REPRO-RLOG\x02"
 
 let self_digest () = Digest.file Sys.executable_name
 
@@ -225,6 +226,7 @@ let write_frame oc ~index ~at_ns ~meta ~blob =
   add_int buf at_ns;
   add_str buf meta;
   add_str buf blob;
+  add_str buf (Digest.string blob);
   Buffer.output_buffer oc buf
 
 let write_trailer oc ~at_ns ~meta ~observables =
@@ -259,7 +261,9 @@ let decode path src =
         let f_at_ns = read_int r in
         let meta = read_str r in
         let f_blob = read_str r in
-        frames := { f_index; f_at_ns; f_sections = Snapshot.decode_sections meta; f_blob } :: !frames
+        let f_blob_digest = read_str r in
+        let f_sections = Snapshot.decode_sections meta in
+        frames := { f_index; f_at_ns; f_sections; f_blob; f_blob_digest } :: !frames
       | 'T' ->
         let at_ns = read_int r in
         let meta = read_str r in
@@ -346,7 +350,12 @@ let resume log k =
        closures and cannot cross builds (frame metadata still can: try repro \
        bisect)"
       log.l_path;
-  let world : World.t = Marshal.from_string log.l_frames.(k).f_blob 0 in
+  let frame = log.l_frames.(k) in
+  (* Unmarshalling corrupt bytes fails at best and builds an unsafe world
+     at worst, so a blob that does not match its digest is never read. *)
+  if not (String.equal (Digest.string frame.f_blob) frame.f_blob_digest) then
+    fail "%s: frame %d: world blob does not match its digest (corrupt log)" log.l_path k;
+  let world : World.t = Marshal.from_string frame.f_blob 0 in
   Obs.incr world.World.obs "restore_count";
   world
 

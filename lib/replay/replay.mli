@@ -83,8 +83,9 @@ type world
 val replay : log -> from_frame:int -> world
 (** Unmarshal frame [from_frame]'s world blob and run the remaining
     milestones to completion, taking no new frames. @raise Replay_error
-    if the frame is out of range or the log was written by a different
-    build of this binary. *)
+    if the frame is out of range, its blob does not match the digest
+    recorded beside it, or the log was written by a different build of
+    this binary. *)
 
 val observables : world -> (string * string) list
 (** The replayed run's observable byte streams, same names and shapes as

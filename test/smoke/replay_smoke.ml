@@ -3,8 +3,9 @@
    run as frame logs, lists/replays/verifies them, bisects both a passing
    log (nothing to bisect) and a misused one (report logs carry no
    monitor), converts a span trace to Chrome Trace Event Format, and
-   checks that half-specified snapshot flags and corrupt frame logs are
-   rejected with an error, not a crash. Wired into `dune runtest`. *)
+   checks that half-specified snapshot flags and corrupt frame logs
+   (including a corrupt world blob) are rejected with an error, not a
+   crash. Wired into `dune runtest`. *)
 
 let fail fmt =
   Printf.ksprintf
@@ -135,6 +136,28 @@ let () =
       ("a truncated log", String.sub log 0 (String.length log / 2));
       ("a log with corrupt frame metadata", defaced);
     ];
+
+  (* A log whose first frame's world blob has bytes flipped in its
+     middle: resuming from that frame must be refused, naming the file,
+     before anything is unmarshalled. The offsets follow the log layout:
+     magic, build digest, descriptor and interval, then each frame record
+     as tag, index, time, metadata and blob. *)
+  let corrupt_blob =
+    let int_at i = Int64.to_int (String.get_int64_le log i) in
+    let after_str i = i + 8 + int_at i in
+    let frame = after_str (after_str (String.length "REPRO-RLOG\x02")) + 8 in
+    if log.[frame] <> 'F' then fail "no frame record at byte %d of %s" frame rep_log;
+    let blob = after_str (frame + 17) in
+    let mid = blob + 8 + (int_at blob / 2) in
+    String.mapi
+      (fun i c -> if i >= mid && i < mid + 64 then Char.chr (Char.code c lxor 0xff) else c)
+      log
+  in
+  write_file bad_log corrupt_blob;
+  expect_rejection ~stderr:err bin [ "replay"; bad_log; "--frame"; "0" ]
+    ~what:"a log with a corrupt world blob";
+  if not (contains ~needle:bad_log (read_file err)) then
+    fail "a corrupt world blob: the error does not name the file: %s" (read_file err);
 
   List.iter
     (fun p -> try Sys.remove p with Sys_error _ -> ())

@@ -316,6 +316,73 @@ let prop_random_crashes =
       | [] -> false
       | first :: rest -> List.for_all (Batch.equal first) rest)
 
+(* ---- Gap-driven catch-up, on all three Chandra-Toueg engines ---- *)
+
+(* A lone p1 whose peers never speak unless asked: it learns the decision
+   of i2 but not of i0 or i1. One [round1_kick] later it must request
+   exactly the two holes; once a peer's [Decision_full] fills both, the
+   timer must not re-arm. *)
+let test_catchup_requests_holes () =
+  let params = Params.default ~n:3 in
+  let value = batch_of_pids [ 1 ] in
+  let engines =
+    [
+      ( "optimized",
+        fun ~engine ~broadcast ->
+          let c =
+            Consensus.create ~engine ~params ~me:0 ~fd:Fd.never_suspects
+              ~send:(fun ~dst:_ _ -> ()) ~broadcast
+              ~rbcast_decision:(fun ~inst:_ ~round:_ ~value:_ -> ())
+              ~on_decide:(fun ~inst:_ _ -> ())
+              ()
+          in
+          (Consensus.receive c, fun () -> Consensus.decision c ~inst:1 <> None) );
+      ( "classic",
+        fun ~engine ~broadcast ->
+          let c =
+            Consensus_classic.create ~engine ~params ~me:0 ~fd:Fd.never_suspects
+              ~send:(fun ~dst:_ _ -> ()) ~broadcast
+              ~rbcast_decision:(fun ~inst:_ ~round:_ ~value:_ -> ())
+              ~on_decide:(fun ~inst:_ _ -> ())
+              ()
+          in
+          (Consensus_classic.receive c, fun () -> Consensus_classic.decision c ~inst:1 <> None)
+      );
+      ( "monolithic",
+        fun ~engine ~broadcast ->
+          let m =
+            Abcast_monolithic.create ~engine ~params ~me:0 ~fd:Fd.never_suspects
+              ~send:(fun ~dst:_ _ -> ()) ~broadcast ~on_adeliver:ignore ()
+          in
+          (Abcast_monolithic.receive m, fun () -> Abcast_monolithic.decided_instances m = 3) );
+    ]
+  in
+  List.iter
+    (fun (name, make) ->
+      let engine = Engine.create () in
+      let requested = ref [] in
+      let broadcast = function
+        | Msg.Decision_request { inst } -> requested := inst :: !requested
+        | _ -> ()
+      in
+      let receive, filled = make ~engine ~broadcast in
+      let after kicks =
+        Engine.run_until engine
+          (Time.add (Engine.now engine) (Time.span_scale kicks params.Params.round1_kick))
+      in
+      receive ~src:1 (Msg.Decision_full { inst = 2; value });
+      after 1;
+      Alcotest.(check (list int)) (name ^ ": requests the holes") [ 0; 1 ]
+        (List.rev !requested);
+      receive ~src:1 (Msg.Decision_full { inst = 0; value });
+      receive ~src:1 (Msg.Decision_full { inst = 1; value });
+      Alcotest.(check bool) (name ^ ": holes filled") true (filled ());
+      after 3;
+      Alcotest.(check (list int)) (name ^ ": no request once filled") [ 0; 1 ]
+        (List.rev !requested);
+      Alcotest.(check int) (name ^ ": timer not re-armed") 0 (Engine.pending engine))
+    engines
+
 let () =
   Alcotest.run "consensus"
     [
@@ -347,6 +414,11 @@ let () =
             test_false_suspicion_after_ack;
           Alcotest.test_case "everyone falsely suspects" `Quick
             test_everyone_falsely_suspects;
+        ] );
+      ( "catch-up",
+        [
+          Alcotest.test_case "requests only the holes, all engines" `Quick
+            test_catchup_requests_holes;
         ] );
       ("properties", [ QCheck_alcotest.to_alcotest prop_random_crashes ]);
     ]

@@ -147,8 +147,12 @@ let test_snapshot_obligations_real () =
     [ ("link_out", "backoff"); ("t", "retransmissions") ];
   check_unit "../lib/sim/.repro_sim.objs/byte/repro_sim__Event_queue.cmt"
     [ ("t", "pending"); ("t", "next_seq") ];
-  check_unit "../lib/core/.repro_core.objs/byte/repro_core__Consensus.cmt"
-    [ ("inst_state", "acks"); ("inst_state", "proposals"); ("inst_state", "estimates") ];
+  check_unit "../lib/core/.repro_core.objs/byte/repro_core__Ct_instances.cmt"
+    [
+      ("inst", "acks"); ("inst", "proposals"); ("inst", "estimates"); ("inst", "started");
+      ("inst", "ext");
+      ("t", "catchup_from");
+    ];
   check_unit "../lib/core/.repro_core.objs/byte/repro_core__Replica.cmt"
     [ ("t", "offers"); ("t", "rchannel"); ("t", "heartbeat"); ("t", "impl") ];
   let audited lib m =
@@ -165,7 +169,7 @@ let test_snapshot_obligations_real () =
       ("sim", "Engine"); ("sim", "Event_queue"); ("sim", "Cpu"); ("sim", "Rng");
       ("net", "Network"); ("net", "Rchannel"); ("fd", "Heartbeat_fd");
       ("framework", "Event_bus"); ("core", "Flow_control"); ("core", "Rbcast");
-      ("core", "Consensus"); ("core", "Consensus_classic"); ("core", "Abcast_modular");
+      ("core", "Ct_instances"); ("core", "Abcast_modular");
       ("core", "Abcast_indirect"); ("core", "Abcast_monolithic"); ("core", "Replica");
       ("core", "Group"); ("obs", "Obs"); ("workload", "Generator"); ("fault", "Monitor");
     ];
@@ -394,6 +398,10 @@ let test_committed_spec_isolation () =
     (violates monolithic rbcast);
   Alcotest.(check bool) "monolithic -> consensus still rejected" true
     (violates monolithic consensus);
+  Alcotest.(check bool) "instance helper -> consensus rejected" true
+    (violates (u "core" "Ct_instances") consensus);
+  Alcotest.(check bool) "consensus may use the instance helper" false
+    (violates consensus (u "core" "Ct_instances"));
   Alcotest.(check bool) "replica may wire consensus" false
     (violates (u "core" "Replica") consensus);
   Alcotest.(check bool) "obs -> core rejected" true

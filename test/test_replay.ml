@@ -129,7 +129,7 @@ let test_corrupt_logs () =
     Bytes.to_string b
   in
   (* The log magic; the build digest's length field follows it. *)
-  let header = String.length "REPRO-RLOG\x01" in
+  let header = String.length "REPRO-RLOG\x02" in
   (* The first frame's section encoding: its magic, then the section
      count, then the first section name's length field. *)
   let meta = find_sub src "REPRO-SNAP\x01" in
