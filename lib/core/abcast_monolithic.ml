@@ -7,11 +7,6 @@ module L = (val Logs.src_log Log.mono)
 
 module Ct = Ct_instances
 
-(* This engine's own per-instance state: a decision taken here as a
-   round's proposer keeps its round until a later proposal or tag has
-   carried it to the others. *)
-type announcement = Not_proposer | Unannounced of int | Announced
-
 type t = {
   engine : Engine.t;
   params : Params.t;
@@ -24,7 +19,13 @@ type t = {
   c_adelivers : Obs.counter;
   h_e2e_ms : Obs.histogram;
   c_abcasts : Obs.counter;
-  ct : announcement Ct.t;
+  ct : unit Ct.t;
+  mutable unannounced : int array;
+      (* [unannounced_n] (instance, round) pairs, flattened: decisions
+         taken here as the round's proposer that no later proposal or tag
+         has carried to the others yet. An entry leaves within the step
+         that decided it, so there is rarely more than one. *)
+  mutable unannounced_n : int;
   delivered : Id_table.t;
   mutable next_deliver : int; (* next instance to adeliver *)
   mutable launched : int; (* highest instance this process launched *)
@@ -62,6 +63,33 @@ let delivered_mem t (m : App_msg.t) =
 let pool_add t m = if not (delivered_mem t m) then t.pool <- Batch.add t.pool m
 
 let pipeline_active t = t.active_acked > 0 || t.ack_imminent
+
+let add_unannounced t ~inst ~round =
+  let len = Array.length t.unannounced in
+  if 2 * t.unannounced_n = len then begin
+    let a = Array.make (max 2 (2 * len)) 0 in
+    Array.blit t.unannounced 0 a 0 len;
+    t.unannounced <- a
+  end;
+  t.unannounced.(2 * t.unannounced_n) <- inst;
+  t.unannounced.((2 * t.unannounced_n) + 1) <- round;
+  t.unannounced_n <- t.unannounced_n + 1
+
+(* The round of [inst]'s unannounced decision, which leaves the set; -1
+   if it has none. A loop, not a local function: no closure per call. *)
+let take_unannounced t inst =
+  let i = ref 0 in
+  while !i < t.unannounced_n && t.unannounced.(2 * !i) <> inst do
+    incr i
+  done;
+  if !i = t.unannounced_n then -1
+  else begin
+    let round = t.unannounced.((2 * !i) + 1) and last = t.unannounced_n - 1 in
+    t.unannounced.(2 * !i) <- t.unannounced.(2 * last);
+    t.unannounced.((2 * !i) + 1) <- t.unannounced.((2 * last) + 1);
+    t.unannounced_n <- last;
+    round
+  end
 
 (* ---- Delivery ---- *)
 
@@ -105,7 +133,7 @@ let take_own_unsent t =
   t.own_unsent <- [];
   piggyback
 
-let rec arm_progress_timer t (s : announcement Ct.inst) =
+let rec arm_progress_timer t (s : unit Ct.inst) =
   Ct.cancel t.ct s.progress_timer;
   s.progress_timer <-
     Some
@@ -113,11 +141,10 @@ let rec arm_progress_timer t (s : announcement Ct.inst) =
            if s.decided = None && (s.estimate <> None || s.acked_rounds <> []) then
              advance_round t s ~target:(Ct.next_unsuspected_round t.ct ~from:(s.round + 1))))
 
-(* [here] is [Unannounced round] when this process decided as the
-   proposer of [round], [Not_proposer] otherwise. *)
-and mono_decide t (s : announcement Ct.inst) value ~here =
+(* A decision taken here as a round's proposer enters [unannounced]
+   before this. *)
+and mono_decide t (s : unit Ct.inst) value =
   if s.decided = None then begin
-    s.ext <- here;
     if s.acked_rounds <> [] then t.active_acked <- t.active_acked - 1;
     Hashtbl.replace t.decisions_buf s.inst value;
     Ct.decide t.ct s value ~deliver:(fun () -> drain t);
@@ -130,11 +157,9 @@ and mono_decide t (s : announcement Ct.inst) value ~here =
   end
 
 (* Announce a decision that could not ride a follow-up proposal. *)
-and announce_standalone t (s : announcement Ct.inst) =
-  match s.ext with
-  | Not_proposer | Announced -> ()
-  | Unannounced round ->
-    s.ext <- Announced;
+and announce_standalone t (s : unit Ct.inst) =
+  let round = take_unannounced t s.inst in
+  if round >= 0 then begin
     if t.params.Params.mono.Params.cheap_decision then
       t.broadcast (Msg.Mono_decision_tag { inst = s.inst; round })
     else begin
@@ -144,6 +169,7 @@ and announce_standalone t (s : announcement Ct.inst) =
       | Some rb -> Rbcast.rbcast rb (s.inst, round)
       | None -> t.broadcast (Msg.Mono_decision_tag { inst = s.inst; round })
     end
+  end
 
 and maybe_launch t =
   let k = Ct.max_decided t.ct + 1 in
@@ -152,21 +178,18 @@ and maybe_launch t =
     && (not (Batch.is_empty t.pool))
     && k = t.next_deliver (* all previous instances fully delivered here *)
   then begin
+    (* [k] is above every decision here, so it is not logged. *)
     let s = Ct.state t.ct k in
-    if s.decided = None && not (List.mem 1 s.proposed_rounds) then begin
+    if not (List.mem 1 s.proposed_rounds) then begin
       let proposal = Batch.take t.pool ~cap:t.params.Params.batch_cap in
       t.pool <- Batch.diff t.pool proposal;
       t.launched <- k;
       Ct.own_proposal t.ct s ~round:1 proposal;
       let decided =
-        if k = 0 then None
-        else
-          let prev = Ct.state t.ct (k - 1) in
-          match prev.ext with
-          | Unannounced round when t.params.Params.mono.Params.combine_proposal_decision ->
-            prev.ext <- Announced;
-            Some (k - 1, round)
-          | Unannounced _ | Not_proposer | Announced -> None
+        if t.params.Params.mono.Params.combine_proposal_decision then
+          let round = take_unannounced t (k - 1) in
+          if round >= 0 then Some (k - 1, round) else None
+        else None
       in
       L.debug (fun m ->
           m "%a launch i%d (%d msgs%s)" Pid.pp t.me k (Batch.size proposal)
@@ -187,13 +210,13 @@ and maybe_launch t =
     end
   end
 
-and post_decide_coordinator t (s : announcement Ct.inst) =
+and post_decide_coordinator t (s : unit Ct.inst) =
   (* Decided as the proposer of a round: either the decision rides the next
      proposal, or it must be announced standalone. *)
   maybe_launch t;
   announce_standalone t s
 
-and check_majority t (s : announcement Ct.inst) ~round =
+and check_majority t (s : unit Ct.inst) ~round =
   if
     s.decided = None
     && List.mem round s.proposed_rounds
@@ -201,18 +224,19 @@ and check_majority t (s : announcement Ct.inst) ~round =
   then
     match Ct.proposal s ~round ~proposer:t.me with
     | Some value ->
-      mono_decide t s value ~here:(Unannounced round);
+      add_unannounced t ~inst:s.inst ~round;
+      mono_decide t s value;
       if round = 1 then post_decide_coordinator t s
       else begin
         (* Recovery rounds disseminate explicitly, with the full value
            for robustness. *)
-        s.ext <- Announced;
+        ignore (take_unannounced t s.inst);
         t.broadcast (Msg.Decision_full { inst = s.inst; value });
         maybe_launch t
       end
     | None -> ()
 
-and send_estimate t (s : announcement Ct.inst) ~round =
+and send_estimate t (s : unit Ct.inst) ~round =
   if s.estimate = None then s.estimate <- Some Batch.empty;
   match s.estimate with
   | Some value when not (List.mem round s.estimate_sent) ->
@@ -228,7 +252,7 @@ and send_estimate t (s : announcement Ct.inst) ~round =
       (Msg.Mono_estimate { inst = s.inst; round; value; ts = s.ts; piggyback })
   | Some _ | None -> ()
 
-and maybe_propose_recovery t (s : announcement Ct.inst) ~round =
+and maybe_propose_recovery t (s : unit Ct.inst) ~round =
   if
     s.decided = None && round >= 2
     && Ct.coord t.ct ~round = t.me
@@ -256,7 +280,7 @@ and maybe_propose_recovery t (s : announcement Ct.inst) ~round =
     end
   end
 
-and advance_round t (s : announcement Ct.inst) ~target =
+and advance_round t (s : unit Ct.inst) ~target =
   if s.decided = None && target > s.round then begin
     L.debug (fun m ->
         m "%a advance i%d r%d->r%d" Pid.pp t.me s.inst s.round target);
@@ -272,10 +296,11 @@ and advance_round t (s : announcement Ct.inst) ~target =
 (* ---- Decision tags ---- *)
 
 let handle_decision_tag t ~inst ~round ~proposer =
-  let s = Ct.state t.ct inst in
-  match Ct.announced_value t.ct s ~round ~proposer ~value:None with
-  | Some value -> mono_decide t s value ~here:Not_proposer
-  | None -> ()
+  if not (Ct.is_logged t.ct inst) then
+    let s = Ct.state t.ct inst in
+    match Ct.announced_value t.ct s ~round ~proposer ~value:None with
+    | Some value -> mono_decide t s value
+    | None -> ()
 
 (* ---- Abcast entry ---- *)
 
@@ -342,8 +367,10 @@ let handle_prop_dec t ~src ~inst ~round ~proposal ~decided =
      decision: the decision frees window slots, and those admissions must
      ride the ack we are about to send (Fig. 6's "ack + diffusion"). *)
   let will_ack =
+    (not (Ct.is_logged t.ct inst))
+    &&
     let s = Ct.state t.ct inst in
-    s.decided = None && round >= s.round
+    round >= s.round
     && (not (Fd.is_suspected t.fd src))
     && not (List.mem round s.acked_rounds)
   in
@@ -352,74 +379,79 @@ let handle_prop_dec t ~src ~inst ~round ~proposal ~decided =
   | Some (d, dr) -> handle_decision_tag t ~inst:d ~round:dr ~proposer:src
   | None -> ());
   t.ack_imminent <- false;
-  let s = Ct.state t.ct inst in
-  if s.decided <> None then begin
+  if Ct.is_logged t.ct inst then begin
     (* The proposer missed our decision (e.g. recovery ended first). *)
-    if round >= s.round then Ct.reply_decision t.ct s ~dst:src
+    if round >= Ct.logged_round t.ct inst then Ct.reply_decision t.ct ~inst ~dst:src
   end
-  else if round >= s.round then begin
-    s.round <- round;
-    Ct.set_proposal s ~round ~proposer:src proposal;
-    if s.estimate = None then s.estimate <- Some proposal;
-    if Fd.is_suspected t.fd src then
-      advance_round t s ~target:(Ct.next_unsuspected_round t.ct ~from:(round + 1))
-    else if not (List.mem round s.acked_rounds) then begin
-      if s.acked_rounds = [] then t.active_acked <- t.active_acked + 1;
-      s.acked_rounds <- round :: s.acked_rounds;
-      s.estimate <- Some proposal;
-      s.ts <- round;
-      let piggyback =
-        if t.params.Params.mono.Params.piggyback_on_ack then take_own_unsent t else []
-      in
-      let sp =
-        if Obs.tracing t.obs then
-          Obs.span t.obs ~pid:t.me ~layer:`Abcast ~phase:"ack"
-            ~detail:(Printf.sprintf "i%d r%d" inst round)
-            ()
-        else Obs.Span.no_parent
-      in
-      Obs.with_span_ctx t.obs sp (fun () ->
-          t.send ~dst:src (Msg.Ack_diff { inst; round; piggyback }));
-      arm_progress_timer t s
+  else
+    let s = Ct.state t.ct inst in
+    if round >= s.round then begin
+      s.round <- round;
+      Ct.set_proposal s ~round ~proposer:src proposal;
+      if s.estimate = None then s.estimate <- Some proposal;
+      if Fd.is_suspected t.fd src then
+        advance_round t s ~target:(Ct.next_unsuspected_round t.ct ~from:(round + 1))
+      else if not (List.mem round s.acked_rounds) then begin
+        if s.acked_rounds = [] then t.active_acked <- t.active_acked + 1;
+        s.acked_rounds <- round :: s.acked_rounds;
+        s.estimate <- Some proposal;
+        s.ts <- round;
+        let piggyback =
+          if t.params.Params.mono.Params.piggyback_on_ack then take_own_unsent t else []
+        in
+        let sp =
+          if Obs.tracing t.obs then
+            Obs.span t.obs ~pid:t.me ~layer:`Abcast ~phase:"ack"
+              ~detail:(Printf.sprintf "i%d r%d" inst round)
+              ()
+          else Obs.Span.no_parent
+        in
+        Obs.with_span_ctx t.obs sp (fun () ->
+            t.send ~dst:src (Msg.Ack_diff { inst; round; piggyback }));
+        arm_progress_timer t s
+      end
     end
-  end
 
 let handle_ack_diff t ~src ~inst ~round ~piggyback =
   (* Piggybacked messages are ingested no matter how late the ack is —
      otherwise they would be lost. *)
   List.iter (fun m -> pool_add t m) piggyback;
-  let s = Ct.state t.ct inst in
-  if s.decided = None && List.mem round s.proposed_rounds then begin
-    Ct.add_ack s ~round ~src;
-    check_majority t s ~round
+  if not (Ct.is_logged t.ct inst) then begin
+    let s = Ct.state t.ct inst in
+    if List.mem round s.proposed_rounds then begin
+      Ct.add_ack s ~round ~src;
+      check_majority t s ~round
+    end
   end;
   (* New pool content may allow launching the next instance. *)
   maybe_launch t
 
 let handle_mono_estimate t ~src ~inst ~round ~ts ~value ~piggyback =
   List.iter (fun m -> pool_add t m) piggyback;
-  let s = Ct.state t.ct inst in
-  if s.decided <> None then Ct.reply_decision t.ct s ~dst:src
-  else if round >= 2 then begin
-    if round > s.round then s.round <- round;
-    Ct.record_estimate s ~round ~src ~ts ~value;
-    if Ct.coord t.ct ~round = t.me then begin
-      maybe_propose_recovery t s ~round;
-      if not (List.mem round s.proposed_rounds) then Ct.solicit t.ct s ~round
+  if Ct.is_logged t.ct inst then Ct.reply_decision t.ct ~inst ~dst:src
+  else begin
+    let s = Ct.state t.ct inst in
+    if round >= 2 then begin
+      if round > s.round then s.round <- round;
+      Ct.record_estimate s ~round ~src ~ts ~value;
+      if Ct.coord t.ct ~round = t.me then begin
+        maybe_propose_recovery t s ~round;
+        if not (List.mem round s.proposed_rounds) then Ct.solicit t.ct s ~round
+      end
     end
   end;
   maybe_launch t
 
 let handle_new_round t ~src ~inst ~round =
-  let s = Ct.state t.ct inst in
-  if s.decided <> None then Ct.reply_decision t.ct s ~dst:src
-  else if round > s.round then advance_round t s ~target:round
-  else if round = s.round && Ct.coord t.ct ~round <> t.me then send_estimate t s ~round
+  if Ct.is_logged t.ct inst then Ct.reply_decision t.ct ~inst ~dst:src
+  else
+    let s = Ct.state t.ct inst in
+    if round > s.round then advance_round t s ~target:round
+    else if round = s.round && Ct.coord t.ct ~round <> t.me then send_estimate t s ~round
 
 let on_suspicion t suspect =
   Ct.select t.ct (fun s ->
-      s.decided = None
-      && (s.estimate <> None || s.acked_rounds <> [])
+      (s.estimate <> None || s.acked_rounds <> [])
       &&
       (* The process whose silence blocks this instance: the proposer we
          acked in the current round (lowest pid when several proposed, so
@@ -455,11 +487,10 @@ let receive t ~src msg =
     pool_add t m;
     maybe_launch t
   | Msg.New_round { inst; round } -> handle_new_round t ~src ~inst ~round
-  | Msg.Decision_request { inst } -> Ct.answer_request t.ct (Ct.state t.ct inst) ~src
+  | Msg.Decision_request { inst } -> Ct.answer_request t.ct ~inst ~src
   | Msg.Decision_full { inst; value } ->
-    let s = Ct.state t.ct inst in
-    if s.decided = None then begin
-      mono_decide t s value ~here:Not_proposer;
+    if not (Ct.is_logged t.ct inst) then begin
+      mono_decide t (Ct.state t.ct inst) value;
       maybe_launch t
     end
   | Msg.Decision_tag { meta; inst; round; value = _ } -> begin
@@ -488,10 +519,12 @@ let create ~engine ~params ~me ~fd ~send ~broadcast ~on_adeliver ?(obs = Obs.noo
       c_abcasts = Obs.counter obs "abcast.abcasts";
       ct =
         Ct.create ~engine ~params ~me ~fd ~send ~broadcast ~log:(module L) ~first_round:1
-          ~first_ext:Not_proposer
+          ~first_ext:()
           ~obs ~layer:`Abcast
           ~decisions:(Obs.counter obs "abcast.decisions")
           ~decide_ms:None;
+      unannounced = [||];
+      unannounced_n = 0;
       delivered = Id_table.create ~n:params.Params.n;
       next_deliver = 0;
       launched = -1;
@@ -522,12 +555,14 @@ let create ~engine ~params ~me ~fd ~send ~broadcast ~on_adeliver ?(obs = Obs.noo
 
 let delivered_count t = t.delivered_count
 let decided_instances t = t.next_deliver
+let live_instances t = Ct.live t.ct
 
 (* ---- Snapshot ---- *)
 
 module Snap = Snapshot
 
 type ab_data = {
+  ad_unannounced : int array; (* (instance, round) pairs, flattened *)
   ad_delivered : Id_table.t;
   ad_next_deliver : int;
   ad_launched : int;
@@ -550,23 +585,15 @@ let snapshot ?name t =
     Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.decisions_buf []
     |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
   in
-  (* Decisions taken here as proposer that no later proposal or tag has
-     carried yet: nonzero outside a pipeline step means nobody else was
-     told (a crashed steward leaves such holes behind). *)
-  let unannounced =
-    Ct.select t.ct (fun s ->
-        match s.ext with Unannounced _ -> true | Not_proposer | Announced -> false)
-  in
   (* Decided values for the most recent instances, rendered for bisect's
      state-diff report: when a total-order violation localizes to a
      window, these are the per-process decision logs that disagree. *)
   let decision_window =
     List.filter_map
       (fun k ->
-        match Ct.find t.ct k with
-        | Some { decided = Some b; _ } ->
-          Some (Printf.sprintf "decision.i%d" k, Snap.String (Fmt.str "%a" Batch.pp b))
-        | _ -> None)
+        match Ct.decision t.ct ~inst:k with
+        | Some b -> Some (Printf.sprintf "decision.i%d" k, Snap.String (Fmt.str "%a" Batch.pp b))
+        | None -> None)
       (List.init 8 (fun i -> Ct.max_decided t.ct - 7 + i))
   in
   Ct.snapshot ~name ~strip:Fun.id
@@ -581,10 +608,14 @@ let snapshot ?name t =
          ("own_unsent", Snap.Int (List.length t.own_unsent));
          ("own_outstanding", Snap.Int (Batch.size t.own_outstanding));
          ("buffered_decisions", Snap.Int (List.length decisions_buf));
-         ("unannounced", Snap.Int (List.length unannounced));
+         (* Nonzero outside a pipeline step means nobody else was told
+            of a decision taken here (a crashed steward leaves such
+            holes behind). *)
+         ("unannounced", Snap.Int t.unannounced_n);
        ]
       @ decision_window)
     {
+      ad_unannounced = Array.sub t.unannounced 0 (2 * t.unannounced_n);
       ad_delivered = t.delivered;
       ad_next_deliver = t.next_deliver;
       ad_launched = t.launched;

@@ -63,6 +63,10 @@ val delivered_count : t -> int
 val decided_instances : t -> int
 (** Instances adelivered so far (= next expected instance number). *)
 
+val live_instances : t -> int
+(** Instances still in the table: created here and not yet decided.
+    Decided ones live on in the decision log only. *)
+
 val snapshot : ?name:string -> t -> Repro_sim.Snapshot.section
 (** Default section name ["core.abcast_monolithic.p<me>"]. The instance
     table summary and payload of {!Consensus.snapshot}, then the delivery

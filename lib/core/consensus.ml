@@ -144,8 +144,7 @@ let arm_kick t (s : kick Ct.inst) =
 
 let on_suspicion t suspect =
   Ct.select t.ct (fun s ->
-      s.decided = None
-      && (s.started || s.estimate <> None)
+      (s.started || s.estimate <> None)
       && Ct.coord t.ct ~round:s.round = suspect)
   |> List.iter (fun s ->
          advance_round t s ~target:(Ct.next_unsuspected_round t.ct ~from:(s.round + 1)))
@@ -153,23 +152,27 @@ let on_suspicion t suspect =
 (* ---- Public entry points ---- *)
 
 let propose t ~inst value =
-  let s = Ct.state t.ct inst in
-  if s.decided = None && not s.started then begin
-    s.started <- true;
-    if s.estimate = None then s.estimate <- Some value;
-    let c1 = Ct.coord t.ct ~round:1 in
-    if s.round = 1 then begin
-      if c1 = t.me then maybe_propose t s ~round:1
-      else if Fd.is_suspected t.fd c1 then
-        advance_round t s ~target:(Ct.next_unsuspected_round t.ct ~from:2)
-      else arm_kick t s
-    end;
-    arm_progress_timer t s
+  if not (Ct.is_logged t.ct inst) then begin
+    let s = Ct.state t.ct inst in
+    if not s.started then begin
+      s.started <- true;
+      if s.estimate = None then s.estimate <- Some value;
+      let c1 = Ct.coord t.ct ~round:1 in
+      if s.round = 1 then begin
+        if c1 = t.me then maybe_propose t s ~round:1
+        else if Fd.is_suspected t.fd c1 then
+          advance_round t s ~target:(Ct.next_unsuspected_round t.ct ~from:2)
+        else arm_kick t s
+      end;
+      arm_progress_timer t s
+    end
   end
 
+(* The handlers below get live instances only: [receive] answers a
+   logged one from the log. *)
+
 let handle_propose t (s : kick Ct.inst) ~src ~round ~value =
-  if s.decided <> None then Ct.reply_decision t.ct s ~dst:src
-  else if src = Ct.coord t.ct ~round && round >= s.round then begin
+  if src = Ct.coord t.ct ~round && round >= s.round then begin
     s.round <- round;
     cancel_kick t s;
     Ct.set_proposal s ~round ~proposer:src value;
@@ -195,8 +198,7 @@ let handle_propose t (s : kick Ct.inst) ~src ~round ~value =
   end
 
 let handle_estimate t (s : kick Ct.inst) ~src ~round ~ts ~value =
-  if s.decided <> None then Ct.reply_decision t.ct s ~dst:src
-  else if round = 1 then begin
+  if round = 1 then begin
     (* §3.3 kick: adopt the value if we have none, and propose if we are
        the (possibly idle) round-1 coordinator. *)
     if Ct.coord t.ct ~round:1 = t.me then begin
@@ -216,38 +218,46 @@ let handle_estimate t (s : kick Ct.inst) ~src ~round ~ts ~value =
     else if round > previous_round then send_estimate t s ~round
   end
 
-let handle_new_round t (s : kick Ct.inst) ~src ~round =
-  if s.decided <> None then Ct.reply_decision t.ct s ~dst:src
-  else if round > s.round then advance_round t s ~target:round
+let handle_new_round t (s : kick Ct.inst) ~round =
+  if round > s.round then advance_round t s ~target:round
   else if round = s.round && Ct.coord t.ct ~round <> t.me then send_estimate t s ~round
 
+(* A late proposal, estimate or solicitation for a decided instance is
+   answered with the decision; a late ack (the decision's reliable
+   broadcast reaches the acker anyway) or decision needs nothing. *)
 let receive t ~src msg =
   match msg with
   | Msg.Propose { inst; round; value } ->
-    handle_propose t (Ct.state t.ct inst) ~src ~round ~value
+    if Ct.is_logged t.ct inst then Ct.reply_decision t.ct ~inst ~dst:src
+    else handle_propose t (Ct.state t.ct inst) ~src ~round ~value
   | Msg.Ack { inst; round } ->
-    (* A late ack (after the decision) needs no reply: the decision's
-       reliable broadcast reaches the acker anyway. *)
-    let s = Ct.state t.ct inst in
-    if s.decided = None && Ct.coord t.ct ~round = t.me then begin
-      Ct.add_ack s ~round ~src;
-      check_majority t s ~round
+    if not (Ct.is_logged t.ct inst) then begin
+      let s = Ct.state t.ct inst in
+      if Ct.coord t.ct ~round = t.me then begin
+        Ct.add_ack s ~round ~src;
+        check_majority t s ~round
+      end
     end
   | Msg.Estimate { inst; round; value; ts } ->
-    handle_estimate t (Ct.state t.ct inst) ~src ~round ~ts ~value
-  | Msg.New_round { inst; round } -> handle_new_round t (Ct.state t.ct inst) ~src ~round
-  | Msg.Decision_request { inst } -> Ct.answer_request t.ct (Ct.state t.ct inst) ~src
-  | Msg.Decision_full { inst; value } -> decide t (Ct.state t.ct inst) value
+    if Ct.is_logged t.ct inst then Ct.reply_decision t.ct ~inst ~dst:src
+    else handle_estimate t (Ct.state t.ct inst) ~src ~round ~ts ~value
+  | Msg.New_round { inst; round } ->
+    if Ct.is_logged t.ct inst then Ct.reply_decision t.ct ~inst ~dst:src
+    else handle_new_round t (Ct.state t.ct inst) ~round
+  | Msg.Decision_request { inst } -> Ct.answer_request t.ct ~inst ~src
+  | Msg.Decision_full { inst; value } ->
+    if not (Ct.is_logged t.ct inst) then decide t (Ct.state t.ct inst) value
   | Msg.Heartbeat | Msg.Diffuse _ | Msg.Nack _ | Msg.Decision_tag _ | Msg.Prop_dec _
   | Msg.Ack_diff _ | Msg.Mono_estimate _ | Msg.Mono_decision_tag _ | Msg.To_coord _
   | Msg.Payload_request _ | Msg.Payload_push _ ->
     ()
 
 let rb_deliver t ~proposer ~inst ~round ~value =
-  let s = Ct.state t.ct inst in
-  match Ct.announced_value t.ct s ~round ~proposer ~value with
-  | Some v -> decide t s v
-  | None -> ()
+  if not (Ct.is_logged t.ct inst) then
+    let s = Ct.state t.ct inst in
+    match Ct.announced_value t.ct s ~round ~proposer ~value with
+    | Some v -> decide t s v
+    | None -> ()
 
 let create ~engine ~params ~me ~fd ~send ~broadcast ~rbcast_decision ~on_decide
     ?(obs = Obs.noop) () =
@@ -279,6 +289,7 @@ let create ~engine ~params ~me ~fd ~send ~broadcast ~rbcast_decision ~on_decide
 
 let decision t ~inst = Ct.decision t.ct ~inst
 let rounds_used t ~inst = Ct.rounds_used t.ct ~inst
+let live_instances t = Ct.live t.ct
 
 let snapshot ?name t =
   let name =

@@ -76,6 +76,10 @@ val rb_deliver :
 val decision : t -> inst:int -> Batch.t option
 (** The decided value of an instance, if this process has decided. *)
 
+val live_instances : t -> int
+(** Instances still in the table: created here and not yet decided.
+    Decided ones live on in the decision log only. *)
+
 val rounds_used : t -> inst:int -> int
 (** Highest round this process entered for the instance (1 in good runs);
     0 if the instance is unknown. For tests and diagnostics. *)

@@ -118,26 +118,27 @@ and arm_progress_timer t (s : unit Ct.inst) =
 (* ---- Entry points ---- *)
 
 let propose t ~inst value =
-  let s = Ct.state t.ct inst in
-  if s.decided = None && not s.started then begin
-    s.started <- true;
-    if s.estimate = None then s.estimate <- Some value;
-    if s.round = 0 then enter_round t s ~round:1
+  if not (Ct.is_logged t.ct inst) then begin
+    let s = Ct.state t.ct inst in
+    if not s.started then begin
+      s.started <- true;
+      if s.estimate = None then s.estimate <- Some value;
+      if s.round = 0 then enter_round t s ~round:1
+    end
   end
+
+(* The handlers below get live instances only: [receive] answers a
+   logged one from the log. *)
 
 let handle_estimate t (s : unit Ct.inst) ~src ~round ~ts ~value =
-  if s.decided <> None then Ct.reply_decision t.ct s ~dst:src
-  else begin
-    Ct.record_estimate s ~round ~src ~ts ~value;
-    (* Participation: an estimate reveals a running instance. *)
-    if s.estimate = None then s.estimate <- Some value;
-    if s.round = 0 then enter_round t s ~round:1;
-    if Ct.coord t.ct ~round = t.me then try_propose t s ~round
-  end
+  Ct.record_estimate s ~round ~src ~ts ~value;
+  (* Participation: an estimate reveals a running instance. *)
+  if s.estimate = None then s.estimate <- Some value;
+  if s.round = 0 then enter_round t s ~round:1;
+  if Ct.coord t.ct ~round = t.me then try_propose t s ~round
 
 let handle_propose t (s : unit Ct.inst) ~src ~round ~value =
-  if s.decided <> None then Ct.reply_decision t.ct s ~dst:src
-  else if
+  if
     src = Ct.coord t.ct ~round && not (List.mem round s.acked_rounds) && round >= s.round
   then begin
     if s.round = 0 then s.round <- round;
@@ -168,45 +169,55 @@ let handle_propose t (s : unit Ct.inst) ~src ~round ~value =
 
 let on_suspicion t suspect =
   Ct.select t.ct (fun s ->
-      s.decided = None && s.round >= 1
+      s.round >= 1
       && Ct.coord t.ct ~round:s.round = suspect
       && not (List.mem s.round s.acked_rounds))
   |> List.iter (fun s -> nack_and_advance t s)
 
+(* A late estimate or proposal for a decided instance is answered with
+   the decision; anything else late needs nothing. *)
 let receive t ~src msg =
   match msg with
   | Msg.Estimate { inst; round; value; ts } ->
-    handle_estimate t (Ct.state t.ct inst) ~src ~round ~ts ~value
+    if Ct.is_logged t.ct inst then Ct.reply_decision t.ct ~inst ~dst:src
+    else handle_estimate t (Ct.state t.ct inst) ~src ~round ~ts ~value
   | Msg.Propose { inst; round; value } ->
-    handle_propose t (Ct.state t.ct inst) ~src ~round ~value
+    if Ct.is_logged t.ct inst then Ct.reply_decision t.ct ~inst ~dst:src
+    else handle_propose t (Ct.state t.ct inst) ~src ~round ~value
   | Msg.Ack { inst; round } ->
-    let s = Ct.state t.ct inst in
-    if s.decided = None && Ct.coord t.ct ~round = t.me then begin
-      Ct.add_ack s ~round ~src;
-      check_majority t s ~round
+    if not (Ct.is_logged t.ct inst) then begin
+      let s = Ct.state t.ct inst in
+      if Ct.coord t.ct ~round = t.me then begin
+        Ct.add_ack s ~round ~src;
+        check_majority t s ~round
+      end
     end
   | Msg.Nack _ ->
     (* In the event-driven rendering the coordinator never blocks on a
        majority of replies, so a nack needs no action; it exists to match
        the classical protocol's message pattern. *)
     ()
-  | Msg.Decision_request { inst } -> Ct.answer_request t.ct (Ct.state t.ct inst) ~src
-  | Msg.Decision_full { inst; value } -> decide t (Ct.state t.ct inst) value
+  | Msg.Decision_request { inst } -> Ct.answer_request t.ct ~inst ~src
+  | Msg.Decision_full { inst; value } ->
+    if not (Ct.is_logged t.ct inst) then decide t (Ct.state t.ct inst) value
   | Msg.New_round { inst; round } ->
     (* Solicitations are an optimized-variant mechanism; treat as a hint to
        catch up. *)
-    let s = Ct.state t.ct inst in
-    if s.decided = None && round > s.round then enter_round t s ~round
+    if not (Ct.is_logged t.ct inst) then begin
+      let s = Ct.state t.ct inst in
+      if round > s.round then enter_round t s ~round
+    end
   | Msg.Heartbeat | Msg.Diffuse _ | Msg.Decision_tag _ | Msg.Prop_dec _ | Msg.Ack_diff _
   | Msg.Mono_estimate _ | Msg.Mono_decision_tag _ | Msg.To_coord _
   | Msg.Payload_request _ | Msg.Payload_push _ ->
     ()
 
 let rb_deliver t ~proposer ~inst ~round ~value =
-  let s = Ct.state t.ct inst in
-  match Ct.announced_value t.ct s ~round ~proposer ~value with
-  | Some v -> decide t s v
-  | None -> ()
+  if not (Ct.is_logged t.ct inst) then
+    let s = Ct.state t.ct inst in
+    match Ct.announced_value t.ct s ~round ~proposer ~value with
+    | Some v -> decide t s v
+    | None -> ()
 
 let create ~engine ~params ~me ~fd ~send ~broadcast ~rbcast_decision ~on_decide
     ?(obs = Obs.noop) () =
@@ -238,6 +249,7 @@ let create ~engine ~params ~me ~fd ~send ~broadcast ~rbcast_decision ~on_decide
 
 let decision t ~inst = Ct.decision t.ct ~inst
 let rounds_used t ~inst = Ct.rounds_used t.ct ~inst
+let live_instances t = Ct.live t.ct
 
 let snapshot ?name t =
   let name =

@@ -51,6 +51,10 @@ val rb_deliver :
 
 val decision : t -> inst:int -> Batch.t option
 
+val live_instances : t -> int
+(** Instances still in the table: created here and not yet decided.
+    Decided ones live on in the decision log only. *)
+
 val rounds_used : t -> inst:int -> int
 (** Highest round entered. Note: ≥ 2 even in good runs, because the
     classical algorithm enters the next round as soon as it has acked. *)

@@ -39,7 +39,15 @@ type 'x t = {
   layer : Obs.layer;
   c_decisions : Obs.counter;
   h_decide_ms : Obs.histogram option;
-  instances : (int, 'x inst) Hashtbl.t;
+  instances : (int, 'x inst) Hashtbl.t; (* live: created, not yet decided *)
+  (* The decision log, indexed by instance: the batch each instance
+     decided and the round it decided in, -1 for a hole. A decided
+     instance leaves [instances] for good, so a run keeps two words per
+     decision plus the batch instead of its whole round state. *)
+  mutable decisions : Batch.t array;
+  mutable decided_rounds : int array;
+  mutable logged : int;
+  mutable logged_max_round : int;
   mutable max_decided : int;
   mutable catchup_from : int; (* lowest instance not known decided *)
   mutable catchup_timer : Engine.timer option;
@@ -61,11 +69,13 @@ let create ~engine ~params ~me ~fd ~send ~broadcast ~log ~first_round ~first_ext
     layer;
     c_decisions = decisions;
     h_decide_ms = decide_ms;
-    (* Instances are never removed, so the table grows with the run. It
-       starts small: sized for a whole window, it would be most of what
-       building a group allocates, in one block straight into the major
-       heap; the doublings cost a few copies per run. *)
-    instances = Hashtbl.create 256;
+    (* Only the pipeline's undecided instances stay in the table; a
+       decided one moves to the log. *)
+    instances = Hashtbl.create 16;
+    decisions = [||];
+    decided_rounds = [||];
+    logged = 0;
+    logged_max_round = 0;
     max_decided = -1;
     catchup_from = 0;
     catchup_timer = None;
@@ -165,12 +175,38 @@ let solicit c s ~round =
     c.broadcast (Msg.New_round { inst = s.inst; round })
   end
 
-(* ---- The instance table ---- *)
+(* ---- The instance table and the decision log ---- *)
 
-let find c inst = Hashtbl.find_opt c.instances inst
+let is_logged c inst =
+  inst >= 0 && inst < Array.length c.decided_rounds && c.decided_rounds.(inst) >= 0
 
-(* [Hashtbl.find] rather than [find]: this runs for every protocol
-   message, and an option per lookup is garbage. *)
+(* Move a just-decided instance from the table to the log. Instances are
+   numbered from 0, so the log is dense; it doubles as it fills. The log
+   lives as long as the run, so its first block is already too large for
+   the minor heap (256 words): it is made in the major heap rather than
+   copied there, and the small early doublings are skipped. *)
+let retire c s value =
+  Hashtbl.remove c.instances s.inst;
+  let len = Array.length c.decisions in
+  if s.inst >= len then begin
+    let cap = ref (max 257 (2 * len)) in
+    while s.inst >= !cap do
+      cap := 2 * !cap
+    done;
+    let decisions = Array.make !cap Batch.empty and rounds = Array.make !cap (-1) in
+    Array.blit c.decisions 0 decisions 0 len;
+    Array.blit c.decided_rounds 0 rounds 0 len;
+    c.decisions <- decisions;
+    c.decided_rounds <- rounds
+  end;
+  c.decisions.(s.inst) <- value;
+  c.decided_rounds.(s.inst) <- s.round;
+  c.logged <- c.logged + 1;
+  if s.round > c.logged_max_round then c.logged_max_round <- s.round
+
+(* [Hashtbl.find] rather than [find_opt]: this runs for every protocol
+   message, and an option per lookup is garbage. Callers check the log
+   first: a logged instance is never re-created. *)
 let state c inst =
   match Hashtbl.find c.instances inst with
   | s -> s
@@ -205,18 +241,23 @@ let select c p =
   Hashtbl.fold (fun _ s acc -> if p s then s :: acc else acc) c.instances []
   |> List.sort (fun a b -> Int.compare a.inst b.inst)
 
-let decision c ~inst = match find c inst with Some s -> s.decided | None -> None
-let rounds_used c ~inst = match find c inst with Some s -> s.round | None -> 0
+(* A live instance is undecided, so only the log knows decisions. *)
+let decision c ~inst = if is_logged c inst then Some c.decisions.(inst) else None
+
+let rounds_used c ~inst =
+  if is_logged c inst then c.decided_rounds.(inst)
+  else
+    match Hashtbl.find_opt c.instances inst with
+    | Some s -> s.round
+    | None -> 0
+
+let logged_round c inst = c.decided_rounds.(inst)
+let live c = Hashtbl.length c.instances
 let max_decided c = c.max_decided
 
 (* ---- Decisions ---- *)
 
 let cancel c slot = match slot with Some timer -> Engine.cancel c.engine timer | None -> ()
-
-let decided_at c inst =
-  match Hashtbl.find c.instances inst with
-  | s -> s.decided <> None
-  | exception Not_found -> false
 
 (* Safety net against permanent decision holes. A decision can be lost
    for good on its way to one process: the monolithic stack's cheap
@@ -231,7 +272,7 @@ let decided_at c inst =
    us in [pending_requesters]. Never armed while decisions arrive in
    order, i.e. never in good runs. *)
 let rec arm_catchup c =
-  while c.catchup_from <= c.max_decided && decided_at c c.catchup_from do
+  while c.catchup_from <= c.max_decided && is_logged c c.catchup_from do
     c.catchup_from <- c.catchup_from + 1
   done;
   if c.catchup_timer = None && c.catchup_from <= c.max_decided then
@@ -242,7 +283,7 @@ let rec arm_catchup c =
              let requested = ref 0 in
              let inst = ref c.catchup_from in
              while !inst <= c.max_decided && !requested < 64 do
-               if not (decided_at c !inst) then begin
+               if not (is_logged c !inst) then begin
                  c.broadcast (Msg.Decision_request { inst = !inst });
                  incr requested
                end;
@@ -252,6 +293,7 @@ let rec arm_catchup c =
 
 let decide c s value ~deliver =
   s.decided <- Some value;
+  retire c s value;
   cancel c s.progress_timer;
   s.progress_timer <- None;
   if s.inst > c.max_decided then c.max_decided <- s.inst;
@@ -274,62 +316,64 @@ let decide c s value ~deliver =
   arm_catchup c
 
 let announced_value c s ~round ~proposer ~value =
-  if s.decided <> None then None
+  match value with
+  | Some _ -> value
+  | None -> begin
+    match proposal s ~round ~proposer with
+    | Some _ as stored -> stored
+    | None ->
+      (* The announcement reached us but the proposal did not (possible
+         only if its proposer crashed): fetch the value explicitly. *)
+      c.broadcast (Msg.Decision_request { inst = s.inst });
+      None
+  end
+
+let reply_decision c ~inst ~dst =
+  if is_logged c inst then c.send ~dst (Msg.Decision_full { inst; value = c.decisions.(inst) })
+
+let answer_request c ~inst ~src =
+  if is_logged c inst then reply_decision c ~inst ~dst:src
   else
-    match value with
-    | Some _ -> value
-    | None -> begin
-      match proposal s ~round ~proposer with
-      | Some _ as stored -> stored
-      | None ->
-        (* The announcement reached us but the proposal did not (possible
-           only if its proposer crashed): fetch the value explicitly. *)
-        c.broadcast (Msg.Decision_request { inst = s.inst });
-        None
-    end
-
-let reply_decision c s ~dst =
-  match s.decided with
-  | Some value -> c.send ~dst (Msg.Decision_full { inst = s.inst; value })
-  | None -> ()
-
-let answer_request c s ~src =
-  if s.decided <> None then reply_decision c s ~dst:src
-  else if not (List.mem src s.pending_requesters) then
-    s.pending_requesters <- src :: s.pending_requesters
+    let s = state c inst in
+    if not (List.mem src s.pending_requesters) then
+      s.pending_requesters <- src :: s.pending_requesters
 
 (* ---- Snapshot ---- *)
 
 type ('x, 'e) data = {
-  cd_instances : (int * 'x inst) list; (* ascending inst, timers stripped *)
+  cd_instances : (int * 'x inst) list; (* live, ascending inst, timers stripped *)
+  cd_decisions : Batch.t array; (* instances 0 .. max_decided *)
+  cd_decided_rounds : int array;
   cd_max_decided : int;
   cd_catchup_from : int;
   cd_engine : 'e;
 }
 
 let snapshot ~name ~strip ?(fields = []) engine_data c =
-  let insts =
+  let live_insts =
     Hashtbl.fold
       (fun k s acc -> (k, { s with progress_timer = None; ext = strip s.ext }) :: acc)
       c.instances []
     |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
   in
-  let decided =
-    List.fold_left (fun acc (_, s) -> if s.decided <> None then acc + 1 else acc) 0 insts
+  let max_round =
+    List.fold_left (fun acc (_, s) -> max acc s.round) c.logged_max_round live_insts
   in
-  let max_round = List.fold_left (fun acc (_, s) -> max acc s.round) 0 insts in
-  Snapshot.make ~name ~version:2
+  let logged_len = c.max_decided + 1 in
+  Snapshot.make ~name ~version:3
     ~data:
       (Snapshot.pack
          {
-           cd_instances = insts;
+           cd_instances = live_insts;
+           cd_decisions = Array.sub c.decisions 0 logged_len;
+           cd_decided_rounds = Array.sub c.decided_rounds 0 logged_len;
            cd_max_decided = c.max_decided;
            cd_catchup_from = c.catchup_from;
            cd_engine = engine_data;
          })
     ([
-       ("instances", Snapshot.Int (List.length insts));
-       ("decided", Snapshot.Int decided);
+       ("instances", Snapshot.Int (live c + c.logged));
+       ("decided", Snapshot.Int c.logged);
        ("max_decided", Snapshot.Int c.max_decided);
        ("catchup_from", Snapshot.Int c.catchup_from);
        ("max_round", Snapshot.Int max_round);

@@ -8,11 +8,19 @@ open Repro_fd
 
     A plain helper like {!Batch}: it holds what the engines do the same
     way — the per-instance record and its per-round tables, the instance
-    table, the decision bookkeeping and the gap-driven catch-up timer —
-    and none of their round policy. Each engine keeps its own
-    per-instance state in the record's ['x] parameter: an immutable
-    value replaced as the state changes, rather than a second mutable
-    record per instance. *)
+    table, the decision log, the decision bookkeeping and the gap-driven
+    catch-up timer — and none of their round policy. Each engine keeps
+    its own per-instance state in the record's ['x] parameter: an
+    immutable value replaced as the state changes, rather than a second
+    mutable record per instance.
+
+    The table holds live instances only. {!decide} moves an instance out
+    of it into a dense decision log indexed by instance (holes allowed)
+    that keeps its batch and the round it decided in, nothing else. An
+    engine checks {!is_logged} before it calls {!state} for a message, so a
+    logged instance is answered from the log and never re-created. Code
+    that still holds a decided record (a pending timer, the rest of the
+    handler that decided it) sees [decided <> None], as before. *)
 
 type 'x inst = {
   inst : int;
@@ -30,7 +38,7 @@ type 'x inst = {
   mutable estimate_sent : int list;
   mutable proposed_rounds : int list;
   mutable solicited_rounds : int list;
-  mutable decided : Batch.t option;
+  mutable decided : Batch.t option;  (** [Some] only once retired to the log *)
   mutable pending_requesters : Pid.t list;
   mutable progress_timer : Engine.timer option;
   mutable ext : 'x;  (** the engine's own per-instance state *)
@@ -90,18 +98,29 @@ val own_proposal : 'x t -> 'x inst -> round:int -> Batch.t -> unit
 val solicit : 'x t -> 'x inst -> round:int -> unit
 (** Broadcast [New_round] for [round], once per round. *)
 
-(** {2 The instance table} *)
+(** {2 The instance table and the decision log} *)
 
-val find : 'x t -> int -> 'x inst option
+val is_logged : 'x t -> int -> bool
+(** Decided here, hence in the log. Allocates nothing. *)
+
+val logged_round : 'x t -> int -> int
+(** The round a logged instance decided in. *)
+
+val live : 'x t -> int
+(** Instances the table holds: created here and not yet decided. *)
 
 val state : 'x t -> int -> 'x inst
-(** Find or create. *)
+(** Find or create a live instance. Never call it for a logged one. *)
 
 val select : 'x t -> ('x inst -> bool) -> 'x inst list
-(** The matching instances in instance order. *)
+(** The matching live instances in instance order. *)
 
 val decision : 'x t -> inst:int -> Batch.t option
+(** The logged batch, [None] if [inst] is not decided here. *)
+
 val rounds_used : 'x t -> inst:int -> int
+(** The decided round of a logged instance, the current round of a live
+    one, 0 for an unknown one. *)
 
 val max_decided : 'x t -> int
 (** Highest decided instance; -1 before the first decision. *)
@@ -111,26 +130,26 @@ val max_decided : 'x t -> int
 val cancel : 'x t -> Engine.timer option -> unit
 
 val decide : 'x t -> 'x inst -> Batch.t -> deliver:(unit -> unit) -> unit
-(** Decide an undecided instance: cancel its progress timer, raise
-    [max_decided], answer the parked requesters, count and trace the
-    decision, run [deliver] inside the [decide] span, then arm the
-    catch-up timer if a decided instance sits above an undecided one.
+(** Decide a live instance and retire it to the log, then cancel its
+    progress timer, raise [max_decided], answer the parked requesters,
+    count and trace the decision, run [deliver] inside the [decide]
+    span, then arm the catch-up timer if a decided instance sits above
+    an undecided one.
     That timer broadcasts [Decision_request] for up to 64 holes every
     [round1_kick] until none is left. *)
 
 val announced_value :
   'x t -> 'x inst -> round:int -> proposer:Pid.t -> value:Batch.t option -> Batch.t option
-(** The value a decision announcement for [(round, proposer)] decides:
-    the carried one, else the stored proposal. Without either it
-    broadcasts [Decision_request] and returns [None]; [None] too once
-    decided. *)
+(** The value a decision announcement for [(round, proposer)] decides
+    for a live instance: the carried one, else the stored proposal.
+    Without either it broadcasts [Decision_request] and returns [None]. *)
 
-val reply_decision : 'x t -> 'x inst -> dst:Pid.t -> unit
-(** Send [Decision_full] to [dst] if decided. *)
+val reply_decision : 'x t -> inst:int -> dst:Pid.t -> unit
+(** Send [Decision_full] to [dst] if [inst] is logged. *)
 
-val answer_request : 'x t -> 'x inst -> src:Pid.t -> unit
-(** Answer [Decision_request]: reply if decided, else park [src] until
-    the decision. *)
+val answer_request : 'x t -> inst:int -> src:Pid.t -> unit
+(** Answer [Decision_request]: reply from the log if decided, else park
+    [src] on the live instance until the decision. *)
 
 (** {2 Snapshot} *)
 
@@ -141,7 +160,8 @@ val snapshot :
   'e ->
   'x t ->
   Snapshot.section
-(** Fields [instances], [decided], [max_decided], [catchup_from],
-    [max_round], then [fields]. The payload carries every instance in
-    instance order (progress timer cleared, [ext] passed through
-    [strip]), the two cursors and the engine's own data. *)
+(** Fields [instances] (live plus logged), [decided], [max_decided],
+    [catchup_from], [max_round] (over both), then [fields]. The
+    payload carries the live instances in instance order (progress timer
+    cleared, [ext] passed through [strip]), the decision log up to
+    [max_decided], the two cursors and the engine's own data. *)

@@ -41,8 +41,10 @@ let create ~kind ~params ?(fd_mode = `Good_run) ?(record_deliveries = true)
   let engine = Engine.create ~seed:params.Params.seed () in
   (* The observability sink is usually created before any engine exists
      (e.g. by the CLI, from flags); attach it to this group's virtual
-     clock so every metric and event is stamped with Engine time. *)
-  Obs.set_clock obs (fun () -> Engine.now engine);
+     clock so every metric and event is stamped with Engine time. The
+     reader holds the clock's cell only, so a sink kept after the run
+     does not keep this group's world alive. *)
+  Obs.set_clock obs (Engine.clock engine);
   let network =
     Network.create engine ~wire:params.Params.wire ?topology:params.Params.topology
       ~kind_names:Wire_msg.kind_names ~kind_index:Wire_msg.kind_index

@@ -86,7 +86,10 @@ val absorb : t -> t -> unit
 
 val set_clock : t -> (unit -> Time.t) -> unit
 (** Wire the clock used to stamp spans and compute latencies. [Group.create]
-    calls this with the group engine's [now]; no-op on {!noop}. *)
+    calls this with [Engine.clock], which reads the clock's own cell; no-op
+    on {!noop}. The sink keeps the reader for its lifetime, so the reader
+    must not capture the world it reads (an engine, a group): a sink kept
+    after its run would keep that whole world alive. *)
 
 val enabled : t -> bool
 (** [false] exactly for {!noop}. Guard metric updates on this at hot call

@@ -33,6 +33,11 @@ val create : ?seed:int -> unit -> t
 val now : t -> Time.t
 (** The current virtual instant. *)
 
+val clock : t -> unit -> Time.t
+(** A reader of the virtual clock that holds the clock's cell and not the
+    engine: keeping the reader (say, in an observability sink that
+    outlives its run) does not keep the simulated world alive. *)
+
 val rng : t -> Rng.t
 (** The engine's root random generator. Components that need their own
     stream should {!Rng.split} it once at setup. *)

@@ -42,9 +42,11 @@ type 'a cell = {
 type handle = H : 'a cell * int -> handle
 
 (* Bucket array plus scan state. Created lazily at the first push because
-   the [nil] sentinel needs an ['a] value to exist (it permanently holds
-   the first value pushed; harmless, and freed cells are re-pointed at it
-   so popped payloads do not outlive their event). *)
+   the [nil] sentinel needs an ['a] value to exist. It permanently holds
+   the first value pushed: in an engine that is the first scheduled
+   thunk, which pins whatever that closure reaches (usually the whole
+   simulated world) for as long as the queue is reachable. Freed cells
+   are re-pointed at it, so popped payloads do not outlive their event. *)
 type 'a slots = {
   nil : 'a cell;
   mutable buckets : 'a cell array; (* list heads; [nil] means empty *)

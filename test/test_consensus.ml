@@ -383,6 +383,217 @@ let test_catchup_requests_holes () =
       Alcotest.(check int) (name ^ ": timer not re-armed") 0 (Engine.pending engine))
     engines
 
+(* ---- Decided instances collapse into the decision log ---- *)
+
+let int_field sec key = Repro_sim.Snapshot.get_int sec key
+
+(* After a good run every decided instance has left the live table: it
+   holds only what the pipeline has in flight (nothing, once quiescent),
+   while [decided] still counts every decision. *)
+let test_collapse_good_run () =
+  let w = make () in
+  for inst = 0 to 39 do
+    ignore
+      (Engine.schedule_at w.engine
+         (Time.add Time.zero (Time.span_ms (2 * inst)))
+         (fun () ->
+           Array.iteri
+             (fun p proc -> Consensus.propose proc.consensus ~inst (batch_of_pids [ p ]))
+             w.procs))
+  done;
+  run w;
+  Array.iteri
+    (fun p proc ->
+      let what = Printf.sprintf "p%d" (p + 1) in
+      Alcotest.(check int) (what ^ ": every instance decided") 40 (List.length proc.decided);
+      Alcotest.(check int) (what ^ ": live table empty") 0
+        (Consensus.live_instances proc.consensus);
+      let sec = Consensus.snapshot proc.consensus in
+      Alcotest.(check (list int)) (what ^ ": instances, decided") [ 40; 40 ]
+        (List.map (int_field sec) [ "instances"; "decided" ]))
+    w.procs
+
+let test_collapse_good_run_monolithic () =
+  let params = Params.default ~n:3 in
+  let engine = Engine.create () in
+  let net =
+    Network.create engine ~kind_names:Msg.kind_names ~kind_index:Msg.kind_index
+      ~kind_of:Msg.kind ~n:3 ~payload_bytes:Msg.payload_bytes ()
+  in
+  let procs =
+    Array.init 3 (fun me ->
+        let m =
+          Abcast_monolithic.create ~engine ~params ~me ~fd:Fd.never_suspects
+            ~send:(fun ~dst msg -> Network.send net ~src:me ~dst msg)
+            ~broadcast:(fun msg -> Network.send_to_others net ~src:me msg)
+            ~on_adeliver:ignore ()
+        in
+        Network.register net me (fun ~src msg -> Abcast_monolithic.receive m ~src msg);
+        m)
+  in
+  for i = 0 to 59 do
+    ignore
+      (Engine.schedule_at engine
+         (Time.add Time.zero (Time.span_ms (2 * i)))
+         (fun () ->
+           let origin = i mod 3 in
+           Abcast_monolithic.abcast procs.(origin)
+             (App_msg.make ~origin ~seq:(i / 3) ~size:256 ~abcast_at:(Engine.now engine))))
+  done;
+  Engine.run engine;
+  Array.iteri
+    (fun p m ->
+      let what = Printf.sprintf "p%d" (p + 1) in
+      Alcotest.(check int) (what ^ ": every message delivered") 60
+        (Abcast_monolithic.delivered_count m);
+      Alcotest.(check bool) (what ^ ": many instances decided") true
+        (Abcast_monolithic.decided_instances m > 20);
+      Alcotest.(check int) (what ^ ": live table empty") 0 (Abcast_monolithic.live_instances m);
+      let sec = Abcast_monolithic.snapshot m in
+      Alcotest.(check int) (what ^ ": decided counts every instance")
+        (Abcast_monolithic.decided_instances m) (int_field sec "decided"))
+    procs
+
+(* A late message for a collapsed instance is answered from the log: a
+   proposal, an estimate, a decision request or (except on the classic
+   engine) a solicitation with the decision, the rest with nothing.
+   Process p3 takes instance 0 to round 2 and learns its decision from
+   p2; every late message must then leave the instance logged, not
+   re-created. *)
+let test_collapse_late_messages () =
+  let params = Params.default ~n:3 in
+  let value = batch_of_pids [ 1 ] and other = batch_of_pids [ 2 ] in
+  let full dst = Some (dst, Msg.Decision_full { inst = 0; value }) in
+  let engines =
+    [
+      ( "optimized",
+        fun ~engine ~send ~broadcast ->
+          let c =
+            Consensus.create ~engine ~params ~me:2 ~fd:Fd.never_suspects ~send ~broadcast
+              ~rbcast_decision:(fun ~inst:_ ~round:_ ~value:_ -> ())
+              ~on_decide:(fun ~inst:_ _ -> ())
+              ()
+          in
+          ( Consensus.receive c,
+            (fun () -> Consensus.snapshot c),
+            (fun () -> Consensus.live_instances c),
+            Some (fun () -> (Consensus.decision c ~inst:0, Consensus.rounds_used c ~inst:0)),
+            [
+              ("propose", 0, Msg.Propose { inst = 0; round = 3; value = other }, full 0);
+              ("estimate", 0, Msg.Estimate { inst = 0; round = 3; value = other; ts = 0 }, full 0);
+              ("new round", 1, Msg.New_round { inst = 0; round = 3 }, full 1);
+              ("ack", 0, Msg.Ack { inst = 0; round = 2 }, None);
+              ("decision request", 1, Msg.Decision_request { inst = 0 }, full 1);
+              ("decision", 0, Msg.Decision_full { inst = 0; value = other }, None);
+            ],
+            fun () ->
+              Consensus.rb_deliver c ~proposer:1 ~inst:0 ~round:2 ~value:None;
+              0 ) );
+      ( "classic",
+        fun ~engine ~send ~broadcast ->
+          let c =
+            Consensus_classic.create ~engine ~params ~me:2 ~fd:Fd.never_suspects ~send
+              ~broadcast
+              ~rbcast_decision:(fun ~inst:_ ~round:_ ~value:_ -> ())
+              ~on_decide:(fun ~inst:_ _ -> ())
+              ()
+          in
+          ( Consensus_classic.receive c,
+            (fun () -> Consensus_classic.snapshot c),
+            (fun () -> Consensus_classic.live_instances c),
+            Some
+              (fun () ->
+                (Consensus_classic.decision c ~inst:0, Consensus_classic.rounds_used c ~inst:0)),
+            [
+              ("propose", 0, Msg.Propose { inst = 0; round = 3; value = other }, full 0);
+              ("estimate", 0, Msg.Estimate { inst = 0; round = 3; value = other; ts = 0 }, full 0);
+              ("new round", 1, Msg.New_round { inst = 0; round = 3 }, None);
+              ("ack", 0, Msg.Ack { inst = 0; round = 2 }, None);
+              ("nack", 0, Msg.Nack { inst = 0; round = 2 }, None);
+              ("decision request", 1, Msg.Decision_request { inst = 0 }, full 1);
+              ("decision", 0, Msg.Decision_full { inst = 0; value = other }, None);
+            ],
+            fun () ->
+              Consensus_classic.rb_deliver c ~proposer:1 ~inst:0 ~round:2 ~value:None;
+              0 ) );
+      ( "monolithic",
+        fun ~engine ~send ~broadcast ->
+          let m =
+            Abcast_monolithic.create ~engine ~params ~me:2 ~fd:Fd.never_suspects ~send
+              ~broadcast ~on_adeliver:ignore ()
+          in
+          let prop_dec round decided =
+            Msg.Prop_dec { inst = 0; round; proposal = other; decided }
+          in
+          ( Abcast_monolithic.receive m,
+            (fun () -> Abcast_monolithic.snapshot m),
+            (fun () -> Abcast_monolithic.live_instances m),
+            None,
+            [
+              ("proposal of an earlier round", 0, prop_dec 1 None, None);
+              ("proposal of the decided round", 1, prop_dec 2 None, full 1);
+              ("proposal of a later round", 0, prop_dec 3 None, full 0);
+              ( "estimate",
+                0,
+                Msg.Mono_estimate { inst = 0; round = 3; value = other; ts = 0; piggyback = [] },
+                full 0 );
+              ("new round", 1, Msg.New_round { inst = 0; round = 3 }, full 1);
+              ("ack", 0, Msg.Ack_diff { inst = 0; round = 2; piggyback = [] }, None);
+              ("decision tag", 1, Msg.Mono_decision_tag { inst = 0; round = 2 }, None);
+              ("decision request", 1, Msg.Decision_request { inst = 0 }, full 1);
+              ("decision", 0, Msg.Decision_full { inst = 0; value = other }, None);
+            ],
+            fun () ->
+              (* Decision 0 rides the proposal for instance 1 (§4.1),
+                 which creates instance 1 only. *)
+              Abcast_monolithic.receive m ~src:0
+                (Msg.Prop_dec
+                   { inst = 1; round = 1; proposal = other; decided = Some (0, 2) });
+              1 ) );
+    ]
+  in
+  List.iter
+    (fun (name, make) ->
+      let engine = Engine.create () in
+      let sent = ref [] in
+      let show (dst, m) = Printf.sprintf "p%d <- %s" (dst + 1) (Fmt.str "%a" Msg.pp m) in
+      let send ~dst m = sent := show (dst, m) :: !sent in
+      let broadcast m = sent := ("all <- " ^ Fmt.str "%a" Msg.pp m) :: !sent in
+      let receive, snapshot, live, decided, late, last = make ~engine ~send ~broadcast in
+      let check_logged what =
+        let sec = snapshot () in
+        Alcotest.(check (list int))
+          (Printf.sprintf "%s, %s: live, instances, decided, max_round" name what)
+          [ 0; 1; 1; 2 ]
+          (live () :: List.map (int_field sec) [ "instances"; "decided"; "max_round" ])
+      in
+      receive ~src:1 (Msg.New_round { inst = 0; round = 2 });
+      receive ~src:1 (Msg.Decision_full { inst = 0; value });
+      check_logged "decided";
+      List.iter
+        (fun (what, src, msg, expected) ->
+          sent := [];
+          receive ~src msg;
+          Alcotest.(check (list string))
+            (Printf.sprintf "%s, late %s: sends" name what)
+            (Option.to_list (Option.map show expected))
+            (List.rev !sent);
+          check_logged ("late " ^ what))
+        late;
+      Option.iter
+        (fun answers ->
+          Alcotest.(check bool) (name ^ ": decision still answers") true
+            (match answers () with Some b, _ -> Batch.equal b value | None, _ -> false);
+          Alcotest.(check int) (name ^ ": rounds_used still answers") 2 (snd (answers ())))
+        decided;
+      let created = last () in
+      let sec = snapshot () in
+      Alcotest.(check (list int))
+        (name ^ ": a late decision creates no instance")
+        [ created; 1 + created; 1 ]
+        (live () :: List.map (int_field sec) [ "instances"; "decided" ]))
+    engines
+
 let () =
   Alcotest.run "consensus"
     [
@@ -419,6 +630,15 @@ let () =
         [
           Alcotest.test_case "requests only the holes, all engines" `Quick
             test_catchup_requests_holes;
+        ] );
+      ( "decided",
+        [
+          Alcotest.test_case "decided instances leave the live table" `Quick
+            test_collapse_good_run;
+          Alcotest.test_case "decided instances leave the live table, monolithic" `Quick
+            test_collapse_good_run_monolithic;
+          Alcotest.test_case "late messages answered from the log, all engines" `Quick
+            test_collapse_late_messages;
         ] );
       ("properties", [ QCheck_alcotest.to_alcotest prop_random_crashes ]);
     ]

@@ -270,6 +270,31 @@ let prop_random_crashes =
       | [] -> false
       | first :: rest -> List.for_all (Batch.equal first) rest)
 
+(* Decided instances leave the live table for the decision log: after a
+   good run it is empty, while every decision is still counted. *)
+let test_collapse_good_run () =
+  let w = make () in
+  for inst = 0 to 39 do
+    ignore
+      (Engine.schedule_at w.engine
+         (Time.add Time.zero (Time.span_ms (2 * inst)))
+         (fun () ->
+           Array.iteri
+             (fun p proc -> Consensus_classic.propose proc.consensus ~inst (batch_of_pids [ p ]))
+             w.procs))
+  done;
+  Engine.run w.engine;
+  Array.iteri
+    (fun p proc ->
+      let what = Printf.sprintf "p%d" (p + 1) in
+      Alcotest.(check int) (what ^ ": every instance decided") 40 (List.length proc.decided);
+      Alcotest.(check int) (what ^ ": live table empty") 0
+        (Consensus_classic.live_instances proc.consensus);
+      let sec = Consensus_classic.snapshot proc.consensus in
+      Alcotest.(check (list int)) (what ^ ": instances, decided") [ 40; 40 ]
+        (List.map (Repro_sim.Snapshot.get_int sec) [ "instances"; "decided" ]))
+    w.procs
+
 let () =
   Alcotest.run "consensus-classic"
     [
@@ -279,6 +304,8 @@ let () =
           Alcotest.test_case "estimate phase on the wire" `Quick test_estimate_phase_runs;
           Alcotest.test_case "max-ts selection" `Quick test_validity_max_ts_selection;
           Alcotest.test_case "rounds cycle unconditionally" `Quick test_rounds_cycle;
+          Alcotest.test_case "decided instances leave the live table" `Quick
+            test_collapse_good_run;
         ] );
       ( "faults",
         [

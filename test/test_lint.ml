@@ -151,7 +151,7 @@ let test_snapshot_obligations_real () =
     [
       ("inst", "acks"); ("inst", "proposals"); ("inst", "estimates"); ("inst", "started");
       ("inst", "ext");
-      ("t", "catchup_from");
+      ("t", "catchup_from"); ("t", "decisions"); ("t", "decided_rounds");
     ];
   check_unit "../lib/core/.repro_core.objs/byte/repro_core__Replica.cmt"
     [ ("t", "offers"); ("t", "rchannel"); ("t", "heartbeat"); ("t", "impl") ];

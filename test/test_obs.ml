@@ -507,6 +507,48 @@ let test_layer_counts_match_model () =
     (Repro_analysis.Model.modular_messages ~n:3 ~m:1)
     total
 
+(* ---- Retention ---- *)
+
+(* A sink kept after its run must not keep that run's world alive. Runs
+   [config] through [run], keeping only the sink, and holds every group's
+   engine through a weak slot; the world is unreachable once the run
+   returns, so a full major collection must empty every slot. *)
+let engines_after_run ~run config =
+  let obs = Obs.create () in
+  let slots = Weak.create 4 and next = ref 0 in
+  let on_group g =
+    Weak.set slots !next (Some (Group.engine g));
+    incr next
+  in
+  ignore (Sys.opaque_identity (run ~obs ~on_group config));
+  (obs, slots, !next)
+
+let test_finished_world_not_retained () =
+  let module E = Repro_workload.Experiment in
+  List.iter
+    (fun kind ->
+      let config =
+        E.config ~kind ~n:3 ~offered_load:300.0 ~size:256 ~warmup_s:0.05 ~measure_s:0.1 ()
+      in
+      List.iter
+        (fun (what, run) ->
+          let obs, slots, groups = engines_after_run ~run config in
+          Gc.full_major ();
+          let what = Printf.sprintf "%s, %s" (E.kind_name kind) what in
+          Alcotest.(check bool) (what ^ ": the sink recorded the run") true
+            (Obs.counter_value obs "abcast.adelivers" > 0);
+          Alcotest.(check bool) (what ^ ": a group was built") true (groups > 0);
+          for i = 0 to groups - 1 do
+            Alcotest.(check bool)
+              (Printf.sprintf "%s: engine %d collected" what i)
+              false (Weak.check slots i)
+          done)
+        [
+          ("run", fun ~obs ~on_group c -> E.run ~obs ~on_group c);
+          ("run_repeated", fun ~obs ~on_group c -> E.run_repeated ~repeats:2 ~obs ~on_group c);
+        ])
+    [ Replica.Modular; Replica.Monolithic; Replica.Indirect ]
+
 let () =
   Alcotest.run "obs"
     [
@@ -522,6 +564,8 @@ let () =
         [
           Alcotest.test_case "counters and gauges" `Quick test_counters_and_gauges;
           Alcotest.test_case "noop records nothing" `Quick test_noop_records_nothing;
+          Alcotest.test_case "finished world not retained" `Quick
+            test_finished_world_not_retained;
         ] );
       ( "handles",
         [
