@@ -17,7 +17,12 @@
    another is billed to the one it was inlined into, and a sample lands
    on the next poll point rather than the exact instruction. Frames have
    names only in a build that keeps debug information (dune's default
-   dev profile does). *)
+   dev profile does).
+
+   [--alloc] runs the cell once with the timer off and prints its events,
+   wall time and minor words per event and per adelivery (every process's
+   adeliveries) instead: the per-cell allocation attribution. perfbench
+   [paper]'s cells are [--warmup 1 --seed N] at n = 3 and 7. *)
 
 open Repro_core
 open Repro_workload
@@ -27,10 +32,13 @@ let stack = ref "modular"
 let n = ref 3
 let load = ref 2000.0
 let size = ref 1024
+let warmup = ref 2.0
 let measure = ref 8.0
+let seed = ref 0
 let sink = ref "metrics"
 let top = ref 30
 let repeat = ref 1
+let alloc = ref false
 
 let specs =
   [
@@ -38,12 +46,17 @@ let specs =
     ("-n", Arg.Set_int n, "N group size (default 3)");
     ("--load", Arg.Set_float load, "R offered load, msgs/s, Poisson (default 2000)");
     ("--size", Arg.Set_int size, "B payload bytes (default 1024)");
+    ("--warmup", Arg.Set_float warmup, "S virtual warm-up seconds (default 2)");
     ("--measure", Arg.Set_float measure, "S virtual measured seconds (default 8)");
+    ("--seed", Arg.Set_int seed, "N run seed (default 0)");
     ( "--sink",
       Arg.Symbol ([ "none"; "metrics"; "trace" ], fun s -> sink := s),
       " observability: none, counters only (default), or counters and spans" );
     ("--top", Arg.Set_int top, "K rows printed per table (default 30)");
     ("--repeat", Arg.Set_int repeat, "K run the cell K times, for more samples (default 1)");
+    ( "--alloc",
+      Arg.Set alloc,
+      " run the cell once unsampled; print minor words per event and per adelivery" );
   ]
 
 let usage = "sampler.exe [options]: profile one Experiment cell by SIGPROF sampling"
@@ -86,6 +99,25 @@ let print_table ~title ~total rows =
           key)
     rows
 
+let alloc_report ~obs config =
+  let group = ref None in
+  let t0 = Unix.gettimeofday () and w0 = Gc.minor_words () in
+  let r = Experiment.run ~obs ~on_group:(fun g -> group := Some g) config in
+  let words = Gc.minor_words () -. w0 and wall = Unix.gettimeofday () -. t0 in
+  let adeliveries =
+    match !group with
+    | Some g -> Array.fold_left ( + ) 0 (Group.delivered_counts g)
+    | None -> 0
+  in
+  let events = r.Experiment.events_executed in
+  Printf.printf
+    "%s n=%d load=%.0f size=%d seed=%d: %d events, %.3f s wall, %.1f M minor words, %.1f \
+     words/event, %d adeliveries, %.1f words/adelivery\n"
+    !stack !n !load !size !seed events wall (words /. 1e6)
+    (words /. float_of_int (max 1 events))
+    adeliveries
+    (words /. float_of_int (max 1 adeliveries))
+
 let () =
   Arg.parse (Arg.align specs) (fun a -> raise (Arg.Bad ("stray argument " ^ a))) usage;
   let kind = kind_of_string !stack in
@@ -96,9 +128,13 @@ let () =
     | _ -> Obs.create ~max_events:0 ()
   in
   let config =
-    Experiment.config ~kind ~n:!n ~offered_load:!load ~size:!size ~measure_s:!measure
-      ~arrival:Generator.Poisson ()
+    Experiment.config ~kind ~n:!n ~offered_load:!load ~size:!size ~warmup_s:!warmup
+      ~measure_s:!measure ~seed:!seed ~arrival:Generator.Poisson ()
   in
+  if !alloc then begin
+    alloc_report ~obs config;
+    exit 0
+  end;
   let pairs : (string, int) Hashtbl.t = Hashtbl.create 256 in
   let total = ref 0 in
   let on_sample _ =

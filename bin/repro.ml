@@ -190,7 +190,7 @@ let run_cmd =
     Arg.(
       value
       & opt kind_conv Replica.Monolithic
-      & info [ "stack" ] ~docv:"STACK" ~doc:"Which implementation: modular or monolithic.")
+      & info [ "stack" ] ~docv:"STACK" ~doc:"Which implementation: modular, monolithic or indirect.")
   in
   let load_arg =
     Arg.(

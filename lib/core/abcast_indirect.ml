@@ -6,12 +6,28 @@ module Obs = Repro_obs.Obs
 
 type consensus_service = { propose : inst:int -> Batch.t -> unit }
 
-module Id_tbl = Hashtbl.Make (struct
-  type t = App_msg.id
+(* The identity store. Identities are per-origin sequence numbers counted
+   densely from 0 (the argument [Id_table] rests on), so everything this
+   module knows about an identity lives in one row per origin, indexed by
+   [seq]: a state byte and the payload slot. The three sets the stack
+   reasons about are derived from the state bits:
 
-  let equal = App_msg.equal_id
-  let hash (id : App_msg.id) = Hashtbl.hash (id.App_msg.origin, id.App_msg.seq)
-end)
+   - held:    the payload is in [slots] (diffused to us, pushed, or our own);
+   - ordered: named by a decision, not yet adelivered ([decided] and not
+              [delivered]);
+   - pending: held and never named by a decision — what [maybe_propose]
+              offers. Adelivery implies a decision, so a delivered id is
+              never pending. *)
+let held = 1
+let decided = 2
+let delivered = 4
+
+type row = {
+  mutable state : Bytes.t; (* state bits per seq; 0 past the end *)
+  mutable slots : App_msg.t array; (* the payload where [held] *)
+  mutable low : int; (* no pending seq below this *)
+  mutable top : int; (* 1 + the highest held seq *)
+}
 
 type t = {
   engine : Engine.t;
@@ -26,10 +42,8 @@ type t = {
   c_adelivers : Obs.counter;
   h_e2e_ms : Obs.histogram;
   c_abcasts : Obs.counter;
-  payloads : App_msg.t Id_tbl.t; (* everything diffused to us, incl. own *)
-  delivered : Id_table.t;
-  mutable pending : App_msg.Id_set.t; (* ids known but not yet ordered *)
-  mutable ordered : App_msg.Id_set.t; (* ids in buffered decisions, undelivered *)
+  rows : row array; (* rows.(origin) *)
+  mutable pending_count : int;
   mutable next_decide : int;
   mutable proposed_up_to : int;
   decisions : (int, Batch.t) Hashtbl.t;
@@ -42,6 +56,10 @@ type t = {
 let id_only (id : App_msg.id) =
   App_msg.make ~origin:id.App_msg.origin ~seq:id.App_msg.seq ~size:0
     ~abcast_at:Time.zero
+
+(* Filler for the slots of payloads not held. *)
+let absent = id_only { App_msg.origin = -1; seq = -1 }
+let initial_row = 64
 
 let create ~engine ~params ~me ~diffuse ~send ~broadcast ~consensus ~on_adeliver
     ?(obs = Obs.noop) () =
@@ -58,10 +76,15 @@ let create ~engine ~params ~me ~diffuse ~send ~broadcast ~consensus ~on_adeliver
     c_adelivers = Obs.counter obs "abcast.adelivers";
     h_e2e_ms = Obs.histogram obs "abcast.e2e_ms";
     c_abcasts = Obs.counter obs "abcast.abcasts";
-    payloads = Id_tbl.create 1024;
-    delivered = Id_table.create ~n:params.Params.n;
-    pending = App_msg.Id_set.empty;
-    ordered = App_msg.Id_set.empty;
+    rows =
+      Array.init params.Params.n (fun _ ->
+          {
+            state = Bytes.make initial_row '\000';
+            slots = Array.make initial_row absent;
+            low = 0;
+            top = 0;
+          });
+    pending_count = 0;
     next_decide = 0;
     proposed_up_to = -1;
     decisions = Hashtbl.create 16;
@@ -69,35 +92,79 @@ let create ~engine ~params ~me ~diffuse ~send ~broadcast ~consensus ~on_adeliver
     fetch_timer = None;
   }
 
+let state_of row seq =
+  if seq >= 0 && seq < Bytes.length row.state then Char.code (Bytes.get row.state seq)
+  else 0
+
+let state t (id : App_msg.id) = state_of t.rows.(id.App_msg.origin) id.App_msg.seq
+
+(* The row of [id], grown (doubling, like [Id_table]) to cover its seq. *)
+let row_for t (id : App_msg.id) =
+  let row = t.rows.(id.App_msg.origin) and seq = id.App_msg.seq in
+  let len = Bytes.length row.state in
+  if seq >= len then begin
+    let len' = ref (len * 2) in
+    while seq >= !len' do
+      len' := !len' * 2
+    done;
+    let state = Bytes.make !len' '\000' and slots = Array.make !len' absent in
+    Bytes.blit row.state 0 state 0 len;
+    Array.blit row.slots 0 slots 0 len;
+    row.state <- state;
+    row.slots <- slots
+  end;
+  row
+
+let set row seq bit =
+  Bytes.set row.state seq (Char.chr (Char.code (Bytes.get row.state seq) lor bit))
+
+let is_pending s = s land (held lor decided) = held
+
+(* The first [batch_cap] pending ids in (origin, seq) order. Each row is
+   walked from its low-water mark, which moves up to the first pending
+   seq so the next walk skips what was decided meanwhile. *)
 let maybe_propose t =
-  if t.proposed_up_to < t.next_decide && not (App_msg.Id_set.is_empty t.pending) then begin
-    let ids =
-      App_msg.Id_set.elements t.pending
-      |> List.filteri (fun i _ -> i < t.params.Params.batch_cap)
-    in
+  if t.proposed_up_to < t.next_decide && t.pending_count > 0 then begin
+    let cap = t.params.Params.batch_cap in
+    let batch = ref Batch.empty and count = ref 0 in
+    Array.iter
+      (fun row ->
+        let seq = ref row.low in
+        while !seq < row.top && not (is_pending (state_of row !seq)) do
+          incr seq
+        done;
+        row.low <- !seq;
+        while !count < cap && !seq < row.top do
+          if is_pending (state_of row !seq) then begin
+            batch := Batch.add !batch (id_only row.slots.(!seq).App_msg.id);
+            incr count
+          end;
+          incr seq
+        done)
+      t.rows;
+    let count = !count in
     t.proposed_up_to <- t.next_decide;
     L.debug (fun m ->
-        m "%a propose instance %d (%d ids, indirect)" Pid.pp t.me t.next_decide
-          (List.length ids));
+        m "%a propose instance %d (%d ids, indirect)" Pid.pp t.me t.next_decide count);
     let sp =
       if Obs.tracing t.obs then
         Obs.span t.obs ~pid:t.me ~layer:`Abcast ~phase:"propose"
-          ~detail:(Printf.sprintf "i%d (%d ids)" t.next_decide (List.length ids))
+          ~detail:(Printf.sprintf "i%d (%d ids)" t.next_decide count)
           ()
       else Obs.Span.no_parent
     in
-    Obs.with_span_ctx t.obs sp (fun () ->
-        t.consensus.propose ~inst:t.next_decide (Batch.of_list (List.map id_only ids)))
+    Obs.with_span_ctx t.obs sp (fun () -> t.consensus.propose ~inst:t.next_decide !batch)
   end
 
-let delivered_mem t (id : App_msg.id) =
-  Id_table.mem t.delivered ~origin:id.App_msg.origin ~seq:id.App_msg.seq
+let holds t id = state t id land held <> 0
+let delivered_mem t id = state t id land delivered <> 0
 
+(* The ids of [batch] whose payload is not held, in batch order. A
+   delivered id is held: its payload was in the slot when delivered. *)
 let missing_payloads t batch =
-  List.filter_map
-    (fun (m : App_msg.t) ->
-      if Id_tbl.mem t.payloads m.id || delivered_mem t m.id then None else Some m.id)
-    (Batch.to_list batch)
+  let missing = ref [] in
+  Batch.iter (fun (m : App_msg.t) -> if not (holds t m.id) then missing := m.id :: !missing) batch;
+  List.rev !missing
 
 let cancel_fetch t =
   match t.fetch_timer with
@@ -118,9 +185,7 @@ let rec arm_fetch t ids =
     Some
       (Engine.schedule_after t.engine (Time.span_ms 20) (fun () ->
            t.fetch_timer <- None;
-           let still_missing =
-             List.filter (fun id -> not (Id_tbl.mem t.payloads id)) ids
-           in
+           let still_missing = List.filter (fun id -> not (holds t id)) ids in
            if still_missing <> [] then begin
              L.debug (fun m ->
                  m "%a fetch %d missing payloads" Pid.pp t.me (List.length still_missing));
@@ -129,25 +194,21 @@ let rec arm_fetch t ids =
            end))
 
 let adeliver_batch t batch =
-  List.iter
+  Batch.iter
     (fun (m : App_msg.t) ->
-      if not (delivered_mem t m.id) then begin
-        match Id_tbl.find_opt t.payloads m.id with
-        | Some payload ->
-          Id_table.add t.delivered ~origin:m.id.App_msg.origin
-            ~seq:m.id.App_msg.seq;
-          t.ordered <- App_msg.Id_set.remove m.id t.ordered;
-          t.delivered_count <- t.delivered_count + 1;
-          Obs.bump t.obs t.c_adelivers;
-          Obs.sample_since t.obs t.h_e2e_ms payload.App_msg.abcast_at;
-          t.on_adeliver payload
-        | None ->
-          (* Unreachable: the caller checked [missing_payloads] first. *)
-          assert false
+      let row = t.rows.(m.id.App_msg.origin) and seq = m.id.App_msg.seq in
+      let s = state_of row seq in
+      if s land delivered = 0 then begin
+        (* The caller checked [missing_payloads] first. *)
+        assert (s land held <> 0);
+        set row seq delivered;
+        let payload = row.slots.(seq) in
+        t.delivered_count <- t.delivered_count + 1;
+        Obs.bump t.obs t.c_adelivers;
+        Obs.sample_since t.obs t.h_e2e_ms payload.App_msg.abcast_at;
+        t.on_adeliver payload
       end)
-    (Batch.to_list batch);
-  t.pending <-
-    App_msg.Id_set.filter (fun id -> not (delivered_mem t id)) t.pending
+    batch
 
 let rec drain t =
   match Hashtbl.find_opt t.decisions t.next_decide with
@@ -173,10 +234,15 @@ let rec drain t =
     | missing -> if t.fetch_timer = None then arm_fetch t missing)
 
 let note_payload t (m : App_msg.t) =
-  if not (Id_tbl.mem t.payloads m.id) then begin
-    Id_tbl.replace t.payloads m.id m;
-    if (not (delivered_mem t m.id)) && not (App_msg.Id_set.mem m.id t.ordered)
-    then t.pending <- App_msg.Id_set.add m.id t.pending;
+  if not (holds t m.id) then begin
+    let row = row_for t m.id and seq = m.id.App_msg.seq in
+    row.slots.(seq) <- m;
+    set row seq held;
+    if seq >= row.top then row.top <- seq + 1;
+    if is_pending (state_of row seq) then begin
+      t.pending_count <- t.pending_count + 1;
+      if seq < row.low then row.low <- seq
+    end;
     (* A blocked decision may now be complete. *)
     drain t;
     maybe_propose t
@@ -212,10 +278,9 @@ let on_diffuse t m = note_payload t m
 
 let on_payload_request t ~src ids =
   List.iter
-    (fun id ->
-      match Id_tbl.find_opt t.payloads id with
-      | Some m -> t.send ~dst:src (Msg.Payload_push m)
-      | None -> ())
+    (fun (id : App_msg.id) ->
+      if holds t id then
+        t.send ~dst:src (Msg.Payload_push t.rows.(id.App_msg.origin).slots.(id.App_msg.seq)))
     ids
 
 let on_payload_push t m = note_payload t m
@@ -224,12 +289,12 @@ let on_decide t ~inst batch =
   if inst >= t.next_decide && not (Hashtbl.mem t.decisions inst) then begin
     Hashtbl.replace t.decisions inst batch;
     (* The decided identifiers are ordered now; never re-propose them. *)
-    List.iter
+    Batch.iter
       (fun (m : App_msg.t) ->
-        t.pending <- App_msg.Id_set.remove m.id t.pending;
-        if not (delivered_mem t m.id) then
-          t.ordered <- App_msg.Id_set.add m.id t.ordered)
-      (Batch.to_list batch);
+        let row = row_for t m.id and seq = m.id.App_msg.seq in
+        if is_pending (state_of row seq) then t.pending_count <- t.pending_count - 1;
+        set row seq decided)
+      batch;
     drain t;
     maybe_propose t
   end
@@ -241,11 +306,16 @@ let delivered_count t = t.delivered_count
 
 module Snap = Repro_sim.Snapshot
 
+type ab_row = {
+  ar_state : Bytes.t; (* the row's state bits *)
+  ar_payloads : App_msg.t list; (* held payloads, ascending seq *)
+  ar_low : int;
+  ar_top : int;
+}
+
 type ab_data = {
-  ad_payloads : (App_msg.id * App_msg.t) list; (* ascending identity *)
-  ad_delivered : Id_table.t;
-  ad_pending : App_msg.Id_set.t;
-  ad_ordered : App_msg.Id_set.t;
+  ad_rows : ab_row array; (* by origin *)
+  ad_pending_count : int;
   ad_next_decide : int;
   ad_proposed_up_to : int;
   ad_decisions : (int * Batch.t) list; (* ascending inst *)
@@ -258,22 +328,37 @@ let snapshot ?name t =
     | Some n -> n
     | None -> Printf.sprintf "core.abcast_indirect.p%d" (t.me + 1)
   in
-  let payloads =
-    Id_tbl.fold (fun id m acc -> (id, m) :: acc) t.payloads []
-    |> List.sort (fun (a, _) (b, _) -> App_msg.compare_id a b)
+  let known = ref 0 and ordered = ref 0 in
+  let rows =
+    Array.map
+      (fun row ->
+        let payloads = ref [] in
+        for seq = Bytes.length row.state - 1 downto 0 do
+          let s = state_of row seq in
+          if s land held <> 0 then begin
+            incr known;
+            payloads := row.slots.(seq) :: !payloads
+          end;
+          if s land (decided lor delivered) = decided then incr ordered
+        done;
+        {
+          ar_state = row.state;
+          ar_payloads = !payloads;
+          ar_low = row.low;
+          ar_top = row.top;
+        })
+      t.rows
   in
   let decisions =
     Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.decisions []
     |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
   in
-  Snap.make ~name ~version:1
+  Snap.make ~name ~version:2
     ~data:
       (Snap.pack
          {
-           ad_payloads = payloads;
-           ad_delivered = t.delivered;
-           ad_pending = t.pending;
-           ad_ordered = t.ordered;
+           ad_rows = rows;
+           ad_pending_count = t.pending_count;
            ad_next_decide = t.next_decide;
            ad_proposed_up_to = t.proposed_up_to;
            ad_decisions = decisions;
@@ -283,8 +368,8 @@ let snapshot ?name t =
       ("next_decide", Snap.Int t.next_decide);
       ("proposed_up_to", Snap.Int t.proposed_up_to);
       ("delivered_count", Snap.Int t.delivered_count);
-      ("known_payloads", Snap.Int (List.length payloads));
-      ("pending_ids", Snap.Int (App_msg.Id_set.cardinal t.pending));
-      ("ordered_ids", Snap.Int (App_msg.Id_set.cardinal t.ordered));
+      ("known_payloads", Snap.Int !known);
+      ("pending_ids", Snap.Int t.pending_count);
+      ("ordered_ids", Snap.Int !ordered);
       ("buffered_decisions", Snap.Int (List.length decisions));
     ]

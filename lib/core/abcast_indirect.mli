@@ -62,6 +62,7 @@ val next_instance : t -> int
 val delivered_count : t -> int
 
 val snapshot : ?name:string -> t -> Repro_sim.Snapshot.section
-(** Default section name ["core.abcast_indirect.p<me>"]. Carries known
-    payloads, delivered/pending/ordered identity sets, decision cursor and
-    buffered decisions; the fetch timer rides the world blob. *)
+(** Default section name ["core.abcast_indirect.p<me>"]. Carries the
+    identity store (per origin: the held/decided/delivered state bits, the
+    held payloads and the low-water mark), the pending count, decision
+    cursor and buffered decisions; the fetch timer rides the world blob. *)

@@ -61,7 +61,7 @@ let maybe_propose t =
   end
 
 let adeliver_batch t batch =
-  List.iter
+  Batch.iter
     (fun m ->
       (* Integrity guard: a message appears in the total order once. *)
       let id = m.App_msg.id in
@@ -73,7 +73,7 @@ let adeliver_batch t batch =
         Obs.sample_since t.obs t.h_e2e_ms m.App_msg.abcast_at;
         t.on_adeliver m
       end)
-    (Batch.to_list batch);
+    batch;
   t.pending <- Batch.diff t.pending batch
 
 let rec drain t =

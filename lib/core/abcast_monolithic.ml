@@ -94,7 +94,7 @@ let take_unannounced t inst =
 (* ---- Delivery ---- *)
 
 let adeliver_batch t batch =
-  List.iter
+  Batch.iter
     (fun m ->
       if not (delivered_mem t m) then begin
         Id_table.add t.delivered ~origin:m.App_msg.id.App_msg.origin
@@ -104,7 +104,7 @@ let adeliver_batch t batch =
         Obs.sample_since t.obs t.h_e2e_ms m.App_msg.abcast_at;
         t.on_adeliver m
       end)
-    (Batch.to_list batch);
+    batch;
   t.pool <- Batch.diff t.pool batch;
   t.own_outstanding <- Batch.diff t.own_outstanding batch;
   t.own_unsent <-

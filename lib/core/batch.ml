@@ -11,6 +11,7 @@ let is_empty = M.is_empty
 let add t m = M.add m.App_msg.id m t
 let of_list l = List.fold_left add empty l
 let to_list t = List.map snd (M.bindings t)
+let iter f t = M.iter (fun _ m -> f m) t
 let size = M.cardinal
 let take t ~cap =
   if size t <= cap then t

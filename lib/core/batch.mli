@@ -18,6 +18,9 @@ val of_list : App_msg.t list -> t
 val to_list : t -> App_msg.t list
 (** Ascending identity order — the adelivery order. *)
 
+val iter : (App_msg.t -> unit) -> t -> unit
+(** Visits the messages in {!to_list}'s order without building the list. *)
+
 val size : t -> int
 (** Number of messages (the paper's per-consensus [M]). *)
 

@@ -43,7 +43,7 @@ let header = 12
 let app_id_bytes = 12
 let app_msg_bytes (m : App_msg.t) = app_id_bytes + m.size
 let list_bytes l = List.fold_left (fun acc m -> acc + app_msg_bytes m) 0 l
-let batch_bytes b = list_bytes (Batch.to_list b)
+let batch_bytes b = (app_id_bytes * Batch.size b) + Batch.payload_bytes b
 
 let payload_bytes = function
   | Heartbeat -> 8

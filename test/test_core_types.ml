@@ -62,9 +62,25 @@ let prop_batch_sorted =
   QCheck.Test.make ~name:"batch to_list is always identity-sorted" ~count:200
     QCheck.(list (pair (int_bound 6) (int_bound 50)))
     (fun l ->
-      let b = Batch.of_list (List.map (fun (o, s) -> mk o s) l) in
+      let b =
+        Batch.of_list (List.map (fun (o, s) -> mk ~size:((7 * o) + s) o s) l)
+      in
       let out = Batch.to_list b in
-      List.sort App_msg.compare out = out)
+      let visited = ref [] in
+      Batch.iter (fun m -> visited := m :: !visited) b;
+      (* A carried batch costs what the wire model's sum over [to_list]
+         charged: 12 identity bytes plus the payload, per message. *)
+      let listed = List.fold_left (fun acc m -> acc + 12 + m.App_msg.size) 0 out in
+      let carried carry = Msg.payload_bytes (carry b) - Msg.payload_bytes (carry Batch.empty) in
+      List.sort App_msg.compare out = out
+      && List.rev !visited = out
+      && List.for_all
+           (fun carry -> carried carry = listed)
+           [
+             (fun value -> Msg.Propose { inst = 0; round = 1; value });
+             (fun value -> Msg.Estimate { inst = 0; round = 1; value; ts = 0 });
+             (fun value -> Msg.Decision_full { inst = 0; value });
+           ])
 
 (* ---- Msg size model ---- *)
 

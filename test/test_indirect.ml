@@ -124,6 +124,91 @@ let test_composition_view () =
        (fun m -> m.Repro_framework.Stack.name)
        (Repro_framework.Stack.modules (Replica.stack (Group.replica g 0))))
 
+(* The identity store, driven without a group: a decision naming a
+   payload not yet held blocks delivery until the payload arrives, a
+   first payload far past a row's initial 64 slots grows it over a gap,
+   duplicates are ignored, requests are answered from held payloads
+   only, and the snapshot's summary counts track each step. *)
+let test_store_driven_directly () =
+  let engine = Engine.create () in
+  let proposals = ref [] and delivered = ref [] and pushed = ref [] in
+  let a =
+    Abcast_indirect.create ~engine ~params:(Params.default ~n:3) ~me:0
+      ~diffuse:(fun _ -> ())
+      ~send:(fun ~dst m -> pushed := (dst, m) :: !pushed)
+      ~broadcast:(fun _ -> ())
+      ~consensus:
+        { Abcast_indirect.propose = (fun ~inst b -> proposals := (inst, b) :: !proposals) }
+      ~on_adeliver:(fun m -> delivered := m :: !delivered)
+      ()
+  in
+  let msg ?(size = 100) origin seq = App_msg.make ~origin ~seq ~size ~abcast_at:Time.zero in
+  let id origin seq = { App_msg.origin; seq } in
+  let ids_of b = List.map (fun m -> m.App_msg.id) (Batch.to_list b) in
+  let decision l = Batch.of_list (List.map (fun (o, s) -> msg ~size:0 o s) l) in
+  let counts step (known, pending, ordered) =
+    let s = Abcast_indirect.snapshot a in
+    Alcotest.(check (list int))
+      (step ^ ": known, pending, ordered")
+      [ known; pending; ordered ]
+      (List.map (Snapshot.get_int s) [ "known_payloads"; "pending_ids"; "ordered_ids" ])
+  in
+  Abcast_indirect.on_diffuse a (msg 1 0);
+  counts "diffused" (1, 1, 0);
+  (match !proposals with
+  | [ (0, b) ] -> Alcotest.(check bool) "proposes the held id" true (ids_of b = [ id 1 0 ])
+  | _ -> Alcotest.fail "expected one proposal for instance 0");
+  Abcast_indirect.on_decide a ~inst:0 (decision [ (2, 0) ]);
+  Abcast_indirect.on_decide a ~inst:1 (decision [ (1, 0) ]);
+  counts "decided ahead of the payload" (1, 0, 2);
+  Alcotest.(check int) "missing payload blocks delivery" 0 (List.length !delivered);
+  Abcast_indirect.on_payload_push a (msg ~size:300 2 70);
+  counts "payload past the initial row" (2, 1, 2);
+  Abcast_indirect.on_payload_push a (msg ~size:999 2 70);
+  counts "duplicate push ignored" (2, 1, 2);
+  Abcast_indirect.on_payload_request a ~src:2 [ id 2 0; id 2 70; id 0 5; id 1 0; id 2 69 ];
+  Alcotest.(check (list (pair int int)))
+    "answers held ids only, in request order, with the first payload"
+    [ (2, 300); (2, 100) ]
+    (List.rev_map
+       (function
+         | dst, Msg.Payload_push m -> (dst, m.App_msg.size)
+         | _ -> Alcotest.fail "expected a payload push")
+       !pushed);
+  Abcast_indirect.on_diffuse a (msg 2 0);
+  Alcotest.(check (list (pair int int)))
+    "the payload's arrival unblocks delivery in instance order"
+    [ (2, 0); (1, 0) ]
+    (List.rev_map (fun m -> (m.App_msg.id.App_msg.origin, m.App_msg.id.App_msg.seq)) !delivered);
+  Alcotest.(check bool) "the held payload is delivered, not the identifier" true
+    (List.for_all (fun m -> m.App_msg.size = 100) !delivered);
+  Alcotest.(check int) "next instance" 2 (Abcast_indirect.next_instance a);
+  counts "delivered" (3, 1, 0);
+  (match !proposals with
+  | (2, b) :: _ ->
+    Alcotest.(check bool) "proposes the id past the gap" true (ids_of b = [ id 2 70 ])
+  | _ -> Alcotest.fail "expected a proposal for instance 2");
+  (* A payload arriving below where the last proposal's walk stopped is
+     still proposed. *)
+  Abcast_indirect.on_decide a ~inst:2 (decision [ (2, 70) ]);
+  Abcast_indirect.on_payload_push a (msg 2 5);
+  counts "late payload inside the gap" (4, 1, 0);
+  (match !proposals with
+  | (3, b) :: _ ->
+    Alcotest.(check bool) "proposes the late id" true (ids_of b = [ id 2 5 ])
+  | _ -> Alcotest.fail "expected a proposal for instance 3");
+  (* Growing a row keeps the payloads it already held. *)
+  Abcast_indirect.on_payload_push a (msg 1 200);
+  counts "second row grown" (5, 2, 0);
+  pushed := [];
+  Abcast_indirect.on_payload_request a ~src:1 [ id 1 0 ];
+  Alcotest.(check (list int)) "held payload survives the growth" [ 100 ]
+    (List.map
+       (function
+         | _, Msg.Payload_push m -> m.App_msg.size
+         | _ -> Alcotest.fail "expected a payload push")
+       !pushed)
+
 let prop_total_order =
   QCheck.Test.make ~name:"indirect total order for random workloads" ~count:40
     QCheck.(triple (int_range 1 60) (oneofl [ 3; 5 ]) (int_bound 999))
@@ -161,4 +246,5 @@ let () =
             test_payload_recovery_after_diffuser_crash;
           Alcotest.test_case "coordinator crash" `Quick test_coordinator_crash;
         ] );
+      ("store", [ Alcotest.test_case "dense store, driven directly" `Quick test_store_driven_directly ]);
     ]
