@@ -36,10 +36,10 @@
      handler slots, subscriber lists: closures cannot round-trip the
      codec at all);
    - labels of a type in [topology_types] (an [Engine.timer] names a
-     live cell in the engine's queue — the world blob carries it);
-   - the unit-qualified labels in [topology_fields] (the calendar
-     queue's bucket structure holds the pending-event closures; its
-     section reports the queue's occupancy instead).
+     live slot in the engine's queue — the world blob carries it);
+   - the unit-qualified labels in [topology_fields] (the event queue's
+     heap storage holds the pending-event closures; its section reports
+     the queue's occupancy instead).
 
    A [snapshot] returning anything else ([Net_stats.snapshot]'s traffic
    totals) is not a section and is outside the rule.
@@ -66,8 +66,9 @@ let topology_types = [ ("sim.Engine", "timer") ]
 (* (unit, type, label) triples assigned to the world blob by design. *)
 let topology_fields =
   [
-    (* Pending events are closures, which only the world blob carries;
-       the section reports [pending] and [resident] instead. *)
+    (* The heap storage holds the pending events, which are closures
+       that only the world blob carries; the section reports [pending]
+       and [next_seq] instead. *)
     ("sim.Event_queue", "t", "slots");
     (* The ablation-only decision channel is wired once at stack
        construction and holds handler closures; its source documents

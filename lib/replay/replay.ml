@@ -23,7 +23,7 @@
    Frames are only ever taken *between* engine slices, never inside the
    event loop: the recorder cuts each [run_until] stretch at frame
    boundaries, which is event-identical to running the stretch in one
-   piece (the calendar queue pops the same (time, seq) order either way).
+   piece (the event queue pops the same (time, seq) order either way).
    With [--snapshot-every 0] no frame is taken and no counter is bumped,
    so the run is bit-for-bit the unrecorded one. *)
 

@@ -1,24 +1,24 @@
 (** Priority queue of timestamped events.
 
-    A calendar queue (hierarchical time buckets over sorted intrusive
-    lists) keyed by [(time, sequence)]. The sequence number is assigned at
-    insertion, so events scheduled for the same instant pop in insertion
-    order — the tie-break that makes whole-simulation determinism
-    possible. Elements can be cancelled lazily in O(1); cancelled cells
-    are skipped (and collected) during later scans.
+    An indexed binary min-heap keyed by [(time, sequence)]. The sequence
+    number is assigned at insertion, so events scheduled for the same
+    instant pop in insertion order — the tie-break that makes
+    whole-simulation determinism possible. Push, pop and cancel are
+    O(log n) in the number of pending events; a cancelled event leaves
+    the heap at once, so the queue holds only pending events.
 
     {2 Determinism obligations}
 
     - Pop order is a pure function of the push/pop/cancel history:
       ascending [(time, seq)] with [seq] the global insertion counter.
-      Bucket sizing and width adapt to occupancy, but only as a function
-      of queue content — never of wall time or allocation addresses — so
-      two runs issuing the same operations observe identical pop
-      sequences, byte for byte downstream.
-    - Internal cells are pooled and reused. A {!handle} therefore names an
-      event {e generation}, not a cell: cancelling after the event popped
-      (or was cancelled) is a guaranteed no-op even if the cell has been
-      recycled for a later event.
+      Every internal decision depends only on those keys — never on wall
+      time or allocation addresses — so two runs issuing the same
+      operations observe identical pop sequences, byte for byte
+      downstream.
+    - Internal slots are reused. A {!handle} therefore names an event
+      {e generation}, not a slot: cancelling after the event popped (or
+      was cancelled) is a guaranteed no-op even if the slot has been
+      reused for a later event.
     - The queue never calls polymorphic comparison or hashing on user
       values; ['a] values are only stored and returned. *)
 
@@ -66,6 +66,6 @@ val length : 'a t -> int
 (** Number of pending (non-cancelled) events. *)
 
 val snapshot : 'a t -> Snapshot.section
-(** Occupancy summary: pending events, resident cells, the insertion
-    counter. Queue {e contents} are arbitrary closures and are captured
-    only by the world blob ([Repro_replay.World]). *)
+(** Occupancy summary: pending events and the insertion counter. Queue
+    {e contents} are arbitrary closures and are captured only by the
+    world blob ([Repro_replay.World]). *)

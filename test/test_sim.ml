@@ -199,11 +199,11 @@ let prop_queue_cancel_subset =
       List.for_all (fun i -> not (List.mem i survivors)) cancelled_ids
       && List.length survivors = List.length times - List.length cancelled_ids)
 
-(* ---- Calendar queue vs reference binary heap ---- *)
+(* ---- Event queue vs reference binary heap ---- *)
 
-(* The oracle: the binary heap the calendar queue replaced, keyed by
-   (time, seq) with the same lazy-cancellation semantics. Deliberately
-   naive — a correctness model, not a performance contender. *)
+(* The oracle: a plain binary heap keyed by (time, seq) that cancels
+   lazily, by marking. Deliberately naive — a correctness model, not a
+   performance contender. *)
 module Ref_heap = struct
   type 'a cell = {
     time : int;
@@ -284,64 +284,101 @@ module Ref_heap = struct
   let length t = t.pending
 end
 
-type churn_op = Push of int | Pop | Cancel of int
+type churn_op =
+  | Push of int
+  | Push_same (* at the instant of the previous push: a tie *)
+  | Pop
+  | Cancel of int (* any handle, stale ones included *)
+  | Cancel_live of int (* the live event of this rank, mod the live count *)
+  | Cancel_newest (* the newest live event *)
 
-(* Property: under an arbitrary interleaving of pushes, pops and cancels —
-   including cancels aimed at already-popped events, which exercise the
-   calendar queue's handle-generation check against recycled pool cells —
-   the calendar queue is observably indistinguishable from the reference
-   heap: same pop results (equal-time ties included), same lengths, same
-   residual drain order. *)
+(* Property: under an arbitrary interleaving of pushes, pops and cancels,
+   the queue is observably indistinguishable from the reference heap:
+   same pop results (equal-time ties included), same lengths, same
+   earliest instant, same residual drain order. Cancels aimed at popped
+   or cancelled events exercise the handle-generation check against
+   reused slots. Cancels of live events hit every heap position: rank 0
+   is the root, and the newest push, when it is a tie or later than its
+   parent, still sits in the last slot. *)
 let prop_queue_matches_heap =
   let op_gen =
     QCheck.Gen.(
       frequency
         [
           (5, map (fun t -> Push t) (int_bound 300));
+          (2, return Push_same);
           (3, return Pop);
-          (4, map (fun i -> Cancel i) (int_bound 2000));
+          (2, map (fun i -> Cancel i) (int_bound 2000));
+          (2, map (fun i -> Cancel_live i) (int_bound 400));
+          (1, return Cancel_newest);
         ])
   in
   let print_op = function
     | Push t -> Printf.sprintf "Push %d" t
+    | Push_same -> "Push_same"
     | Pop -> "Pop"
     | Cancel i -> Printf.sprintf "Cancel %d" i
+    | Cancel_live i -> Printf.sprintf "Cancel_live %d" i
+    | Cancel_newest -> "Cancel_newest"
   in
   let ops_arb =
     QCheck.make
       ~print:(QCheck.Print.list print_op)
       QCheck.Gen.(list_size (int_range 0 400) op_gen)
   in
-  QCheck.Test.make ~name:"calendar queue equivalent to reference heap under churn"
-    ~count:200 ops_arb
+  QCheck.Test.make ~name:"event queue equivalent to reference heap under churn"
+    ~count:300 ops_arb
     (fun ops ->
       let q = Event_queue.create () in
       let h = Ref_heap.create () in
       let handles = ref [] (* newest first *) in
       let npushed = ref 0 in
+      let last_time = ref 0 in
       let ok = ref true in
       let check b = if not b then ok := false in
+      let push time =
+        let hq = Event_queue.push q ~time:(Time.of_ns time) !npushed in
+        let hc = Ref_heap.push h ~time !npushed in
+        handles := (hq, hc) :: !handles;
+        last_time := time;
+        incr npushed
+      in
+      (* Live events, newest first, and in pop order (rank 0 is the root). *)
+      let live () = List.filter (fun (_, hc) -> not hc.Ref_heap.gone) !handles in
+      let by_rank () =
+        List.sort
+          (fun (_, a) (_, b) ->
+            compare (a.Ref_heap.time, a.Ref_heap.seq) (b.Ref_heap.time, b.Ref_heap.seq))
+          (live ())
+      in
+      let cancel (hq, hc) =
+        Event_queue.cancel q hq;
+        Ref_heap.cancel h hc
+      in
       List.iter
         (fun op ->
           if !ok then begin
             (match op with
-            | Push time ->
-              let hq = Event_queue.push q ~time:(Time.of_ns time) !npushed in
-              let hc = Ref_heap.push h ~time !npushed in
-              handles := (hq, hc) :: !handles;
-              incr npushed
+            | Push time -> push time
+            | Push_same -> push !last_time
             | Pop -> (
               match (Event_queue.pop q, Ref_heap.pop h) with
               | None, None -> ()
               | Some (tq, vq), Some (th, vh) -> check (Time.to_ns tq = th && vq = vh)
               | _ -> check false)
             | Cancel i ->
-              if !npushed > 0 then begin
-                let hq, hc = List.nth !handles (i mod !npushed) in
-                Event_queue.cancel q hq;
-                Ref_heap.cancel h hc
-              end);
-            check (Event_queue.length q = Ref_heap.length h)
+              if !npushed > 0 then cancel (List.nth !handles (i mod !npushed))
+            | Cancel_live i -> (
+              match by_rank () with
+              | [] -> ()
+              | l -> cancel (List.nth l (i mod List.length l)))
+            | Cancel_newest -> (
+              match live () with [] -> () | newest :: _ -> cancel newest));
+            check (Event_queue.length q = Ref_heap.length h);
+            let earliest =
+              match by_rank () with (_, c) :: _ -> Some c.Ref_heap.time | [] -> None
+            in
+            check (Option.map Time.to_ns (Event_queue.peek_time q) = earliest)
           end)
         ops;
       let rec drain_q acc =
@@ -397,6 +434,30 @@ let test_queue_cancel_heavy_stress () =
   | Some (t, v) ->
     Alcotest.(check (pair int int)) "recycled cell pops" (7, 424242) (Time.to_ns t, v)
   | None -> Alcotest.fail "recycled event lost"
+
+let test_queue_cancelled_timers_leave () =
+  (* The consensus progress-timer pattern: many timers armed 500 ms
+     ahead, nearly all cancelled long before they come due. A cancelled
+     timer leaves the queue at once, so nothing but the survivor is
+     held. *)
+  let q = Event_queue.create () in
+  let n = 10_000 and keep = 7_777 in
+  let due i = Time.of_ns (500_000_000 + (i * 1_000)) in
+  let handles = Array.init n (fun i -> Event_queue.push q ~time:(due i) i) in
+  Array.iteri (fun i h -> if i <> keep then Event_queue.cancel q h) handles;
+  Alcotest.(check int) "one timer left" 1 (Event_queue.length q);
+  let section = Event_queue.snapshot q in
+  Alcotest.(check (list string))
+    "the section records nothing else" [ "pending"; "next_seq" ]
+    (List.map fst section.Snapshot.fields);
+  Alcotest.(check int) "section: pending" 1 (Snapshot.get_int section "pending");
+  Alcotest.(check int) "section: next_seq" n (Snapshot.get_int section "next_seq");
+  (match Event_queue.pop q with
+  | Some (t, v) ->
+    Alcotest.(check (pair int int)) "the survivor pops at its instant"
+      (Time.to_ns (due keep), keep) (Time.to_ns t, v)
+  | None -> Alcotest.fail "the surviving timer was lost");
+  Alcotest.(check bool) "empty after" true (Event_queue.is_empty q)
 
 let test_queue_push_unit_pop_apply () =
   let q = Event_queue.create () in
@@ -565,6 +626,8 @@ let () =
             test_queue_cancel_after_pop;
           Alcotest.test_case "peek" `Quick test_queue_peek;
           Alcotest.test_case "cancel-heavy stress" `Quick test_queue_cancel_heavy_stress;
+          Alcotest.test_case "cancelled timers leave at once" `Quick
+            test_queue_cancelled_timers_leave;
           Alcotest.test_case "push_unit / pop_apply" `Quick
             test_queue_push_unit_pop_apply;
           QCheck_alcotest.to_alcotest prop_queue_sorted;
