@@ -22,7 +22,11 @@
    [--alloc] runs the cell once with the timer off and prints its events,
    wall time and minor words per event and per adelivery (every process's
    adeliveries) instead: the per-cell allocation attribution. perfbench
-   [paper]'s cells are [--warmup 1 --seed N] at n = 3 and 7. *)
+   [paper]'s cells are [--warmup 1 --seed N] at n = 3 and 7. With
+   [--sink trace] it also runs the cell on a metrics-only sink and prints
+   the spans recorded and the minor words each cost (the traced run's
+   words less the metrics-only run's, per span): the obs layer's share
+   of the cell. *)
 
 open Repro_core
 open Repro_workload
@@ -116,7 +120,17 @@ let alloc_report ~obs config =
     !stack !n !load !size !seed events wall (words /. 1e6)
     (words /. float_of_int (max 1 events))
     adeliveries
-    (words /. float_of_int (max 1 adeliveries))
+    (words /. float_of_int (max 1 adeliveries));
+  if Obs.tracing obs then begin
+    (* Recording never perturbs a run, so the same cell on a metrics-only
+       sink executes the same events: the difference is the spans'. *)
+    let w1 = Gc.minor_words () in
+    ignore (Experiment.run ~obs:(Obs.create ~max_events:0 ()) config);
+    let untraced = Gc.minor_words () -. w1 in
+    let spans = Obs.span_count obs in
+    Printf.printf "%d spans recorded, %.1f minor words/span (less a metrics-only run)\n" spans
+      ((words -. untraced) /. float_of_int (max 1 spans))
+  end
 
 let () =
   Arg.parse (Arg.align specs) (fun a -> raise (Arg.Bad ("stray argument " ^ a))) usage;

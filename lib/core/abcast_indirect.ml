@@ -148,9 +148,8 @@ let maybe_propose t =
         m "%a propose instance %d (%d ids, indirect)" Pid.pp t.me t.next_decide count);
     let sp =
       if Obs.tracing t.obs then
-        Obs.span t.obs ~pid:t.me ~layer:`Abcast ~phase:"propose"
-          ~detail:(Printf.sprintf "i%d (%d ids)" t.next_decide count)
-          ()
+        Obs.span t.obs ~parent:(Obs.span_ctx t.obs) ~pid:t.me ~layer:`Abcast ~phase:"propose"
+          ~detail:(Obs.Span.detail2 "i" t.next_decide " (" count " ids)")
       else Obs.Span.no_parent
     in
     Obs.with_span_ctx t.obs sp (fun () -> t.consensus.propose ~inst:t.next_decide !batch)
@@ -223,9 +222,8 @@ let rec drain t =
             (Batch.size batch));
       let sp =
         if Obs.tracing t.obs then
-          Obs.span t.obs ~pid:t.me ~layer:`Abcast ~phase:"adeliver"
-            ~detail:(Printf.sprintf "i%d (%d msgs)" t.next_decide (Batch.size batch))
-            ()
+          Obs.span t.obs ~parent:(Obs.span_ctx t.obs) ~pid:t.me ~layer:`Abcast ~phase:"adeliver"
+            ~detail:(Obs.Span.detail2 "i" t.next_decide " (" (Batch.size batch) " msgs)")
         else Obs.Span.no_parent
       in
       Obs.with_span_ctx t.obs sp (fun () -> adeliver_batch t batch);
@@ -253,11 +251,10 @@ let abcast t m =
     Obs.bump t.obs t.c_abcasts;
     let sp =
       if Obs.tracing t.obs then
-        Obs.span t.obs ~pid:t.me ~layer:`Abcast ~phase:"abcast"
+        Obs.span t.obs ~parent:(Obs.span_ctx t.obs) ~pid:t.me ~layer:`Abcast ~phase:"abcast"
           ~detail:
-            (Printf.sprintf "m %d/%d" (m.App_msg.id.App_msg.origin + 1)
-               m.App_msg.id.App_msg.seq)
-          ()
+            (Obs.Span.detail2 "m " (m.App_msg.id.App_msg.origin + 1) "/"
+               m.App_msg.id.App_msg.seq "")
       else Obs.Span.no_parent
     in
     (* Diffuse strictly before [note_payload], whose embedded

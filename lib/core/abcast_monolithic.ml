@@ -116,9 +116,8 @@ let rec drain t =
     Hashtbl.remove t.decisions_buf t.next_deliver;
     let sp =
       if Obs.tracing t.obs then
-        Obs.span t.obs ~pid:t.me ~layer:`Abcast ~phase:"adeliver"
-          ~detail:(Printf.sprintf "i%d (%d msgs)" t.next_deliver (Batch.size batch))
-          ()
+        Obs.span t.obs ~parent:(Obs.span_ctx t.obs) ~pid:t.me ~layer:`Abcast ~phase:"adeliver"
+          ~detail:(Obs.Span.detail2 "i" t.next_deliver " (" (Batch.size batch) " msgs)")
       else Obs.Span.no_parent
     in
     Obs.with_span_ctx t.obs sp (fun () -> adeliver_batch t batch);
@@ -198,9 +197,8 @@ and maybe_launch t =
             | None -> ""));
       let sp =
         if Obs.tracing t.obs then
-          Obs.span t.obs ~pid:t.me ~layer:`Abcast ~phase:"propose"
-            ~detail:(Printf.sprintf "i%d r1 (%d msgs)" k (Batch.size proposal))
-            ()
+          Obs.span t.obs ~parent:(Obs.span_ctx t.obs) ~pid:t.me ~layer:`Abcast ~phase:"propose"
+            ~detail:(Obs.Span.detail2 "i" k " r1 (" (Batch.size proposal) " msgs)")
         else Obs.Span.no_parent
       in
       Obs.with_span_ctx t.obs sp (fun () ->
@@ -267,9 +265,8 @@ and maybe_propose_recovery t (s : unit Ct.inst) ~round =
         Ct.own_proposal t.ct s ~round value;
         let sp =
           if Obs.tracing t.obs then
-            Obs.span t.obs ~pid:t.me ~layer:`Abcast ~phase:"propose"
-              ~detail:(Printf.sprintf "i%d r%d (%d msgs)" s.inst round (Batch.size value))
-              ()
+            Obs.span t.obs ~parent:(Obs.span_ctx t.obs) ~pid:t.me ~layer:`Abcast ~phase:"propose"
+              ~detail:(Obs.Span.detail3 "i" s.inst " r" round " (" (Batch.size value) " msgs)")
           else Obs.Span.no_parent
         in
         Obs.with_span_ctx t.obs sp (fun () ->
@@ -334,11 +331,10 @@ let abcast t m =
     Obs.bump t.obs t.c_abcasts;
     let sp =
       if Obs.tracing t.obs then
-        Obs.span t.obs ~pid:t.me ~layer:`Abcast ~phase:"abcast"
+        Obs.span t.obs ~parent:(Obs.span_ctx t.obs) ~pid:t.me ~layer:`Abcast ~phase:"abcast"
           ~detail:
-            (Printf.sprintf "m %d/%d" (m.App_msg.id.App_msg.origin + 1)
-               m.App_msg.id.App_msg.seq)
-          ()
+            (Obs.Span.detail2 "m " (m.App_msg.id.App_msg.origin + 1) "/"
+               m.App_msg.id.App_msg.seq "")
       else Obs.Span.no_parent
     in
     Obs.with_span_ctx t.obs sp (fun () ->
@@ -401,9 +397,8 @@ let handle_prop_dec t ~src ~inst ~round ~proposal ~decided =
         in
         let sp =
           if Obs.tracing t.obs then
-            Obs.span t.obs ~pid:t.me ~layer:`Abcast ~phase:"ack"
-              ~detail:(Printf.sprintf "i%d r%d" inst round)
-              ()
+            Obs.span t.obs ~parent:(Obs.span_ctx t.obs) ~pid:t.me ~layer:`Abcast ~phase:"ack"
+              ~detail:(Obs.Span.detail2 "i" inst " r" round "")
           else Obs.Span.no_parent
         in
         Obs.with_span_ctx t.obs sp (fun () ->

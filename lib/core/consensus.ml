@@ -67,9 +67,9 @@ and maybe_propose t (s : kick Ct.inst) ~round =
       Obs.bump t.obs t.c_proposals;
       let sp =
         if Obs.tracing t.obs then
-          Obs.span t.obs ~pid:t.me ~layer:`Consensus ~phase:"propose"
-            ~detail:(Printf.sprintf "i%d r%d (%d msgs)" s.inst round (Batch.size value))
-            ()
+          Obs.span t.obs ~parent:(Obs.span_ctx t.obs) ~pid:t.me ~layer:`Consensus
+            ~phase:"propose"
+            ~detail:(Obs.Span.detail3 "i" s.inst " r" round " (" (Batch.size value) " msgs)")
         else Obs.Span.no_parent
       in
       Obs.with_span_ctx t.obs sp (fun () ->
@@ -100,9 +100,8 @@ and send_estimate t (s : kick Ct.inst) ~round =
     Obs.bump t.obs t.c_estimates;
     let sp =
       if Obs.tracing t.obs then
-        Obs.span t.obs ~pid:t.me ~layer:`Consensus ~phase:"estimate"
-          ~detail:(Printf.sprintf "i%d r%d" s.inst round)
-          ()
+        Obs.span t.obs ~parent:(Obs.span_ctx t.obs) ~pid:t.me ~layer:`Consensus
+          ~phase:"estimate" ~detail:(Obs.Span.detail2 "i" s.inst " r" round "")
       else Obs.Span.no_parent
     in
     Obs.with_span_ctx t.obs sp (fun () ->
@@ -186,9 +185,8 @@ let handle_propose t (s : kick Ct.inst) ~src ~round ~value =
       Obs.bump t.obs t.c_acks;
       let sp =
         if Obs.tracing t.obs then
-          Obs.span t.obs ~pid:t.me ~layer:`Consensus ~phase:"ack"
-            ~detail:(Printf.sprintf "i%d r%d" s.inst round)
-            ()
+          Obs.span t.obs ~parent:(Obs.span_ctx t.obs) ~pid:t.me ~layer:`Consensus ~phase:"ack"
+            ~detail:(Obs.Span.detail2 "i" s.inst " r" round "")
         else Obs.Span.no_parent
       in
       Obs.with_span_ctx t.obs sp (fun () ->

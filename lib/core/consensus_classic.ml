@@ -48,9 +48,9 @@ let rec try_propose t (s : unit Ct.inst) ~round =
         Obs.bump t.obs t.c_proposals;
         let sp =
           if Obs.tracing t.obs then
-            Obs.span t.obs ~pid:t.me ~layer:`Consensus ~phase:"propose"
-              ~detail:(Printf.sprintf "i%d r%d (%d msgs)" s.inst round (Batch.size value))
-              ()
+            Obs.span t.obs ~parent:(Obs.span_ctx t.obs) ~pid:t.me ~layer:`Consensus
+              ~phase:"propose"
+              ~detail:(Obs.Span.detail3 "i" s.inst " r" round " (" (Batch.size value) " msgs)")
           else Obs.Span.no_parent
         in
         Obs.with_span_ctx t.obs sp (fun () ->
@@ -85,9 +85,8 @@ and enter_round t (s : unit Ct.inst) ~round =
         Obs.bump t.obs t.c_estimates;
         let sp =
           if Obs.tracing t.obs then
-            Obs.span t.obs ~pid:t.me ~layer:`Consensus ~phase:"estimate"
-              ~detail:(Printf.sprintf "i%d r%d" s.inst round)
-              ()
+            Obs.span t.obs ~parent:(Obs.span_ctx t.obs) ~pid:t.me ~layer:`Consensus
+              ~phase:"estimate" ~detail:(Obs.Span.detail2 "i" s.inst " r" round "")
           else Obs.Span.no_parent
         in
         Obs.with_span_ctx t.obs sp (fun () ->
@@ -155,9 +154,8 @@ let handle_propose t (s : unit Ct.inst) ~src ~round ~value =
       Obs.bump t.obs t.c_acks;
       let sp =
         if Obs.tracing t.obs then
-          Obs.span t.obs ~pid:t.me ~layer:`Consensus ~phase:"ack"
-            ~detail:(Printf.sprintf "i%d r%d" s.inst round)
-            ()
+          Obs.span t.obs ~parent:(Obs.span_ctx t.obs) ~pid:t.me ~layer:`Consensus ~phase:"ack"
+            ~detail:(Obs.Span.detail2 "i" s.inst " r" round "")
         else Obs.Span.no_parent
       in
       Obs.with_span_ctx t.obs sp (fun () ->

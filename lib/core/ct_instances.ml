@@ -307,9 +307,8 @@ let decide c s value ~deliver =
   (match c.h_decide_ms with Some h -> Obs.sample_since c.obs h s.created_at | None -> ());
   let sp =
     if Obs.tracing c.obs then
-      Obs.span c.obs ~pid:c.me ~layer:c.layer ~phase:"decide"
-        ~detail:(Printf.sprintf "i%d r%d (%d msgs)" s.inst s.round (Batch.size value))
-        ()
+      Obs.span c.obs ~parent:(Obs.span_ctx c.obs) ~pid:c.me ~layer:c.layer ~phase:"decide"
+        ~detail:(Obs.Span.detail3 "i" s.inst " r" s.round " (" (Batch.size value) " msgs)")
     else Obs.Span.no_parent
   in
   Obs.with_span_ctx c.obs sp deliver;

@@ -106,10 +106,10 @@ let delivered_counts t = Array.map Replica.delivered_count t.replicas
 let total_admitted t =
   Array.fold_left (fun acc r -> acc + Replica.admitted r) 0 t.replicas
 
-let latencies t =
-  List.sort
-    (fun a b -> Time.compare a.first_delivery b.first_delivery)
-    (List.rev t.rev_latencies)
+(* Records are prepended at [Engine.now], which never decreases, so the
+   reversed list is already in first-delivery order (ties in delivery
+   order, as a stable sort would leave them). *)
+let latencies t = List.rev t.rev_latencies
 
 let on_delivery t f = t.observers <- t.observers @ [ f ]
 let on_tamper t f = t.tamper_observers <- t.tamper_observers @ [ f ]

@@ -49,9 +49,8 @@ let rbcast t payload =
   Obs.bump t.obs t.c_delivers;
   let sp =
     if Obs.tracing t.obs then
-      Obs.span t.obs ~pid:t.me ~layer:`Rbcast ~phase:"rbcast"
-        ~detail:(Printf.sprintf "rb %d/%d" (meta.rb_origin + 1) meta.rb_seq)
-        ()
+      Obs.span t.obs ~parent:(Obs.span_ctx t.obs) ~pid:t.me ~layer:`Rbcast ~phase:"rbcast"
+        ~detail:(Obs.Span.detail2 "rb " (meta.rb_origin + 1) "/" meta.rb_seq "")
     else Obs.Span.no_parent
   in
   Obs.with_span_ctx t.obs sp (fun () ->
@@ -74,9 +73,8 @@ let receive t ~src:_ ~meta payload =
     Obs.bump t.obs t.c_delivers;
     let sp =
       if Obs.tracing t.obs then
-        Obs.span t.obs ~pid:t.me ~layer:`Rbcast ~phase:"rdeliver"
-          ~detail:(Printf.sprintf "rb %d/%d" (meta.Msg.rb_origin + 1) meta.Msg.rb_seq)
-          ()
+        Obs.span t.obs ~parent:(Obs.span_ctx t.obs) ~pid:t.me ~layer:`Rbcast ~phase:"rdeliver"
+          ~detail:(Obs.Span.detail2 "rb " (meta.Msg.rb_origin + 1) "/" meta.Msg.rb_seq "")
       else Obs.Span.no_parent
     in
     Obs.with_span_ctx t.obs sp (fun () ->

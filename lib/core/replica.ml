@@ -92,11 +92,10 @@ let handle_adeliver t m =
      instance adeliver that released it. *)
   let sp =
     if Obs.tracing t.obs then
-      Obs.span t.obs ~pid:t.me ~layer:`App ~phase:"adeliver"
+      Obs.span t.obs ~parent:(Obs.span_ctx t.obs) ~pid:t.me ~layer:`App ~phase:"adeliver"
         ~detail:
-          (Printf.sprintf "m %d/%d" (m.App_msg.id.App_msg.origin + 1)
-             m.App_msg.id.App_msg.seq)
-        ()
+          (Obs.Span.detail2 "m " (m.App_msg.id.App_msg.origin + 1) "/"
+             m.App_msg.id.App_msg.seq "")
     else Obs.Span.no_parent
   in
   Obs.with_span_ctx t.obs sp (fun () ->
@@ -124,9 +123,8 @@ let rec admit_offers t =
        chain truthfully extends that delivery's. *)
     let sp =
       if Obs.tracing t.obs then
-        Obs.span t.obs ~pid:t.me ~layer:`App ~phase:"publish"
-          ~detail:(Printf.sprintf "m %d/%d (%d B)" (t.me + 1) m.App_msg.id.App_msg.seq size)
-          ()
+        Obs.span t.obs ~parent:(Obs.span_ctx t.obs) ~pid:t.me ~layer:`App ~phase:"publish"
+          ~detail:(Obs.Span.detail3 "m " (t.me + 1) "/" m.App_msg.id.App_msg.seq " (" size " B)")
       else Obs.Span.no_parent
     in
     Obs.with_span_ctx t.obs sp (fun () -> stack_abcast t m);
@@ -411,8 +409,8 @@ let create ~kind ~params ~net ~me ?(fd_mode = `Good_run) ?(record_deliveries = t
          goes no further, so the span ends its chain. *)
       if Obs.tracing t.obs then
         ignore
-          (Obs.span t.obs ~pid:t.me ~layer:(Wire_msg.layer inner) ~phase:"drop"
-             ~detail:("checksum: " ^ Wire_msg.kind inner) ());
+          (Obs.span t.obs ~parent:(Obs.span_ctx t.obs) ~pid:t.me ~layer:(Wire_msg.layer inner)
+             ~phase:"drop" ~detail:("checksum: " ^ Wire_msg.kind inner));
       on_tamper ~detected:true
   in
   Network.register net me (fun ~src wire ->

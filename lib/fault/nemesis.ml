@@ -25,7 +25,7 @@ let apply ~obs group (step : Schedule.step) =
   if Obs.tracing obs then
     ignore
       (Obs.span obs ~parent:Obs.Span.no_parent ~pid:0 ~layer:`Net ~phase:"fault"
-         ~detail:(Schedule.action_to_string step.Schedule.action) ())
+         ~detail:(Schedule.action_to_string step.Schedule.action))
 
 let install ?(obs = Obs.noop) group schedule =
   (* Validate against the live group before registering anything, so a bad

@@ -76,6 +76,12 @@ type 'msg t = {
   ctr_wire : Obs.counter array;
   ctr_kinds : Obs.counter array;
   ctr_dropped : Obs.counter;
+  (* Transmit-span details ("<kind> -> p<d>") interned by dense kind slot
+     and destination: [tx_details.(kind).(dst)], built on that pair's
+     first copy and shared by every later one. A memo of a pure function
+     of the pair, so it holds no run state. Empty unless the sink is
+     tracing; each row is made on its kind's first copy. *)
+  tx_details : string array array;
   mutable loss_rate : float;
   mutable extra_delay : Time.span;
   mutable adversary : 'msg adversary option;
@@ -229,7 +235,7 @@ let deliver t ~src ~dst ~sid msg =
     let rx =
       if Obs.tracing t.obs then
         Obs.span t.obs ~parent:sid ~pid:dst ~layer:(t.layer_of msg) ~phase:"rx"
-          ~detail:(t.kind_of msg) ()
+          ~detail:(t.kind_of msg)
       else Obs.Span.no_parent
     in
     let cost = Wire.recv_cpu_cost t.wire ~payload_bytes:(t.payload_bytes msg) in
@@ -287,12 +293,33 @@ let create engine ?(wire = Wire.default) ?topology ?(kind_names = [||])
       ctr_kinds =
         Array.map (fun k -> Obs.counter obs ("net.kind_msgs." ^ k)) kind_names;
       ctr_dropped = Obs.counter obs "net.dropped_msgs";
+      tx_details =
+        (if Obs.tracing obs then Array.make (Array.length kind_names) [||] else [||]);
       loss_rate = 0.0;
       extra_delay = Time.span_zero;
       adversary = None;
     }
   in
   t
+
+(* "<kind> -> p<dst+1>" for a copy in kind slot [kind], interned when the
+   slot is in the dense table: a slot names one kind for the network's
+   lifetime, so the first copy's name stands for every later one. A kind
+   met at run time (a tampered copy) is built afresh each time. *)
+let tx_detail t ~kind ~dst msg =
+  if kind >= Array.length t.tx_details then
+    Obs.Span.detail1 (t.kind_of msg ^ " -> p") (dst + 1) ""
+  else begin
+    if Array.length t.tx_details.(kind) = 0 then
+      t.tx_details.(kind) <- Array.make (Array.length t.nodes) "";
+    let row = t.tx_details.(kind) in
+    match row.(dst) with
+    | "" ->
+      let d = Obs.Span.detail1 (t.kind_of msg ^ " -> p") (dst + 1) "" in
+      row.(dst) <- d;
+      d
+    | d -> d
+  end
 
 (* Layer-attributed traffic accounting: the [Net_stats] totals split by
    the protocol layer that produced each message — the measured side of
@@ -310,9 +337,7 @@ let record_tx t ~parent ~src ~dst msg ~kind ~payload_bytes ~wire_bytes =
   if kind < Array.length t.ctr_kinds then Obs.bump t.obs t.ctr_kinds.(kind)
   else Obs.incr t.obs ("net.kind_msgs." ^ Net_stats.kind_name t.stats kind);
   if Obs.tracing t.obs then
-    Obs.span t.obs ~parent ~pid:src ~layer ~phase:"tx"
-      ~detail:(Printf.sprintf "%s -> p%d" (t.kind_of msg) (dst + 1))
-      ()
+    Obs.span t.obs ~parent ~pid:src ~layer ~phase:"tx" ~detail:(tx_detail t ~kind ~dst msg)
   else Obs.Span.no_parent
 
 (* A sender that is past its crash budget silently loses the message; this
@@ -342,7 +367,7 @@ let deliver_local t ~src msg =
             if Obs.tracing t.obs then begin
               let local =
                 Obs.span t.obs ~parent ~pid:src ~layer:(t.layer_of msg)
-                  ~phase:"local" ~detail:(t.kind_of msg) ()
+                  ~phase:"local" ~detail:(t.kind_of msg)
               in
               Obs.set_span_ctx t.obs local
             end;
@@ -455,7 +480,7 @@ let transmit_copy t ?(adv_drop = false) ~src ~dst ~payload_bytes ~parent msg =
     if Obs.tracing t.obs then
       ignore
         (Obs.span t.obs ~parent:tx_sid ~pid:src ~layer:(t.layer_of msg)
-           ~phase:"drop" ~detail:(t.kind_of msg) ())
+           ~phase:"drop" ~detail:(t.kind_of msg))
   end
 
 let marshal_cost t ~payload_bytes ~copies =

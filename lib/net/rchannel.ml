@@ -164,8 +164,7 @@ let rec arm_timer t ~dst link =
                    if Obs.tracing t.obs then
                      Obs.span t.obs ~parent:frame.ctx ~pid:t.me ~layer:`Net
                        ~phase:"retransmit"
-                       ~detail:(Printf.sprintf "seq %d -> p%d" frame.seq (dst + 1))
-                       ()
+                       ~detail:(Obs.Span.detail2 "seq " frame.seq " -> p" (dst + 1) "")
                    else Obs.Span.no_parent
                  in
                  Obs.with_span_ctx t.obs sp (fun () ->

@@ -189,10 +189,9 @@ let histograms t =
    truncated by [max_events] still has globally consistent parent links
    (children of a dropped span reference an id that is simply absent). *)
 
-let span t ?parent ~pid ~layer ~phase ?(detail = "") () =
+let span t ~parent ~pid ~layer ~phase ~detail =
   if not t.enabled then Span.no_parent
   else begin
-    let parent = match parent with Some p -> p | None -> t.ctx in
     let sid = t.next_sid + 1 in
     t.next_sid <- sid;
     if Trace.length t.spans < t.max_events then
@@ -204,17 +203,25 @@ let span t ?parent ~pid ~layer ~phase ?(detail = "") () =
 let span_ctx t = if t.enabled then t.ctx else Span.no_parent
 let set_span_ctx t sid = if t.enabled then t.ctx <- sid
 
-(* The ambient context is only ever consumed by [span] as a default
-   parent, and [span] records nothing unless [tracing]. So on a
-   metrics-only sink ([max_events = 0], which includes [noop]) the
-   save/set/restore — and its [Fun.protect] frame — would be dead work
-   on every delivered message; skip it. *)
+(* The ambient context is only ever read to parent a span, and [span]
+   records nothing unless [tracing]. So on a metrics-only sink
+   ([max_events = 0], which includes [noop]) the save/set/restore would
+   be dead work on every delivered message; skip it. The restore is
+   written out rather than left to [Fun.protect], whose [finally]
+   closure and handler frame cost an allocation per call. *)
 let with_span_ctx t sid f =
   if t.max_events = 0 then f ()
   else begin
     let saved = t.ctx in
     t.ctx <- sid;
-    Fun.protect ~finally:(fun () -> t.ctx <- saved) f
+    match f () with
+    | v ->
+      t.ctx <- saved;
+      v
+    | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      t.ctx <- saved;
+      Printexc.raise_with_backtrace e bt
   end
 
 let spans t = Trace.events t.spans

@@ -170,31 +170,27 @@ val sample_since : t -> histogram -> Time.t -> unit
 (** {1 Trace: causal spans}
 
     See {!Span} for the data model. The protocol rule: record a span at
-    each step of interest; its parent defaults to the sink's current
-    context, which the network layer sets to the receive-span around each
-    delivered message handler (and resets afterwards), so within-handler
-    steps chain to their trigger automatically. Asynchronous hand-offs
-    (CPU submissions, scheduled deliveries) capture the context
-    explicitly and pass it as [?parent]. *)
+    each step of interest. A step within a handler passes the sink's
+    current context ([~parent:(span_ctx obs)]), which the network layer
+    sets to the receive-span around each delivered message handler (and
+    resets afterwards), so within-handler steps chain to their trigger.
+    Asynchronous hand-offs (CPU submissions, scheduled deliveries)
+    capture the context when they are made and pass that instead.
+    Details are built only when {!tracing} holds, with the
+    {!Span.detail1}-style builders rather than [Printf]. *)
 
-val span :
-  t ->
-  ?parent:int ->
-  pid:int ->
-  layer:layer ->
-  phase:string ->
-  ?detail:string ->
-  unit ->
-  int
+val span : t -> parent:int -> pid:int -> layer:layer -> phase:string -> detail:string -> int
 (** Record one causal span at the current instant and return its fresh
-    [sid] ([Span.no_parent] on a disabled sink). [parent] defaults to
-    {!span_ctx}. Ids keep advancing after the [max_events] cap so parent
-    links stay globally consistent; capped-out records are counted in
-    {!dropped_spans} instead of retained. *)
+    [sid] ([Span.no_parent] on a disabled sink). The record, its trace
+    cell and the caller's [detail] are all it allocates. Ids keep
+    advancing after the [max_events] cap so parent links stay globally
+    consistent; capped-out records are counted in {!dropped_spans}
+    instead of retained. *)
 
 val span_ctx : t -> int
-(** The ambient "current span" used as default parent; [Span.no_parent]
-    when no handler is executing (or on a disabled sink). *)
+(** The ambient "current span", the parent of a step within a handler;
+    [Span.no_parent] when no handler is executing (or on a disabled
+    sink). *)
 
 val set_span_ctx : t -> int -> unit
 (** Set the ambient context (no-op on a disabled sink). The network layer
@@ -202,7 +198,9 @@ val set_span_ctx : t -> int -> unit
     calls it. *)
 
 val with_span_ctx : t -> int -> (unit -> 'a) -> 'a
-(** Run a thunk with the ambient context set, restoring it afterwards. *)
+(** Run a thunk with the ambient context set, restoring it afterwards,
+    also when the thunk raises (the exception is re-raised with its
+    backtrace). *)
 
 val spans : t -> Span.t list
 (** All retained spans, oldest first. *)

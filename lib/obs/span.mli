@@ -10,11 +10,11 @@ open Repro_sim
     causal chain whose hops sum exactly to the end-to-end latency (see
     {!Repro_analysis.Critical_path}).
 
-    Spans are recorded through {!Obs.span}; an implicit "current span"
-    carried by the sink ({!Obs.span_ctx} / {!Obs.set_span_ctx}) supplies
-    the parent across module boundaries, so a consensus step triggered
-    by a network delivery parents to that delivery without any protocol
-    code passing ids around. *)
+    Spans are recorded through {!Obs.span}; an ambient "current span"
+    carried by the sink ({!Obs.span_ctx} / {!Obs.set_span_ctx}), which a
+    step reads as its parent, links spans across module boundaries, so a
+    consensus step triggered by a network delivery parents to that
+    delivery without any protocol interface passing ids around. *)
 
 type layer = [ `Abcast | `Consensus | `Rbcast | `Net | `App ]
 (** Same structural type as {!Obs.layer}. *)
@@ -40,3 +40,21 @@ val is_root : t -> bool
 
 val pp : t Fmt.t
 (** Prints [#sid<-#parent p<pid+1> <layer>/<phase> <detail>]. *)
+
+(** {1 Detail strings}
+
+    [Printf.sprintf] interprets its format and builds the result through
+    a growable buffer, ≈50–80 minor words per detail. These build the same
+    text as one string of exact size: literal pieces and decimal ints
+    (sign included, [min_int] too) are written straight into it. They
+    keep no scratch state, so sinks in several domains may call them at
+    once. *)
+
+val detail1 : string -> int -> string -> string
+(** [detail1 a x b] is [Printf.sprintf "%s%d%s" a x b]. *)
+
+val detail2 : string -> int -> string -> int -> string -> string
+(** [detail2 a x b y c] is [Printf.sprintf "%s%d%s%d%s" a x b y c]. *)
+
+val detail3 : string -> int -> string -> int -> string -> int -> string -> string
+(** [detail3 a x b y c z d] is [Printf.sprintf "%s%d%s%d%s%d%s" a x b y c z d]. *)

@@ -3,8 +3,9 @@
    with --metrics-out/--trace-out, fails if the JSONL is empty or
    unparsable, and cross-checks the per-layer message counts against the
    closed forms of Analysis.Model (§5.2.1). Then pins the exported bytes:
-   one run per stack must reproduce the MD5 digests committed in
-   obs_golden.txt for its stdout, trace, metrics and Chrome export, and
+   one run per stack, plus one lossy modular run, must reproduce the MD5
+   digests committed in obs_golden.txt for its stdout, trace, metrics and
+   Chrome export, and
    `repro critical-path --pid=-1` on its trace must report the
    abcast.e2e_ms histogram's delivery count and mean.
    Wired into `dune runtest`. *)
@@ -99,10 +100,18 @@ let check_critical_path bin stack ~trace ~metrics =
   if header <> want then
     fail "%s critical-path says %S, abcast.e2e_ms says %S" stack header want
 
+(* [(label, stack, extra flags)]: the label keys obs_golden.txt. The lossy
+   run is the only one that records retransmit and drop spans. *)
+let golden_runs =
+  [
+    ("modular", "modular", []); ("monolithic", "monolithic", []);
+    ("indirect", "indirect", []); ("modular-lossy", "modular", [ "--loss"; "0.05" ]);
+  ]
+
 let check_golden bin golden =
   List.iter
-    (fun stack ->
-      let tmp suffix = Filename.temp_file ("obs_golden_" ^ stack) suffix in
+    (fun (label, stack, extra) ->
+      let tmp suffix = Filename.temp_file ("obs_golden_" ^ label) suffix in
       let outputs =
         [
           ("stdout", tmp ".txt"); ("trace", tmp "_trace.jsonl");
@@ -111,24 +120,25 @@ let check_golden bin golden =
       in
       let file o = List.assoc o outputs in
       run_cli ~stdout:(file "stdout") bin
-        [
-          "run"; "--stack"; stack; "-n"; "3"; "--load"; "1000"; "--warmup"; "0.5";
-          "--measure"; "1"; "--trace-out"; file "trace"; "--metrics-out"; file "metrics";
-        ];
+        ([
+           "run"; "--stack"; stack; "-n"; "3"; "--load"; "1000"; "--warmup"; "0.5";
+           "--measure"; "1"; "--trace-out"; file "trace"; "--metrics-out"; file "metrics";
+         ]
+        @ extra);
       run_cli bin [ "trace-export"; "--trace"; file "trace"; "--chrome-out"; file "chrome" ];
-      check_critical_path bin stack ~trace:(file "trace") ~metrics:(file "metrics");
+      check_critical_path bin label ~trace:(file "trace") ~metrics:(file "metrics");
       List.iter
         (fun (o, path) ->
           let want =
-            match List.assoc_opt (stack, o) golden with
+            match List.assoc_opt (label, o) golden with
             | Some md5 -> md5
-            | None -> fail "obs_golden.txt has no %s %s digest" stack o
+            | None -> fail "obs_golden.txt has no %s %s digest" label o
           in
           let got = Digest.to_hex (Digest.file path) in
-          if got <> want then fail "%s %s bytes changed: md5 %s, golden %s" stack o got want;
+          if got <> want then fail "%s %s bytes changed: md5 %s, golden %s" label o got want;
           Sys.remove path)
         outputs)
-    [ "modular"; "monolithic"; "indirect" ]
+    golden_runs
 
 let () =
   let bin, golden =

@@ -71,7 +71,7 @@ let test_noop_records_nothing () =
   Obs.set_gauge Obs.noop "g" 1.0;
   Obs.observe Obs.noop "h" 1.0;
   Alcotest.(check int) "span id" Obs.Span.no_parent
-    (Obs.span Obs.noop ~pid:0 ~layer:`Net ~phase:"tx" ());
+    (Obs.span Obs.noop ~parent:Obs.Span.no_parent ~pid:0 ~layer:`Net ~phase:"tx" ~detail:"");
   Alcotest.(check int) "no counter" 0 (Obs.counter_value Obs.noop "a");
   Alcotest.(check (option (float 0.))) "no gauge" None (Obs.gauge_value Obs.noop "g");
   Alcotest.(check int) "no spans" 0 (Obs.span_count Obs.noop)
@@ -311,6 +311,77 @@ let prop_ints_and_strings_roundtrip =
       let j = Jsonl.List [ Jsonl.Int i; Jsonl.String s; Jsonl.Obj [ (s, Jsonl.Int i) ] ] in
       Jsonl.parse (Jsonl.to_string j) = Ok j)
 
+(* ---- Span details ----
+
+   The builders replace the [Printf.sprintf] formats of the protocol
+   layers' span details; each must print what its format prints, for any
+   ints. [gen_int] draws [min_int], where a digit loop that negates its
+   argument first overflows. *)
+
+let prop_details_match_printf =
+  QCheck.Test.make ~name:"detail builders equal Printf.sprintf" ~count:2000
+    (QCheck.make
+       ~print:(fun (s, (x, y, z)) -> Printf.sprintf "%S %d %d %d" s x y z)
+       QCheck.Gen.(pair gen_string (triple gen_int gen_int gen_int)))
+    (fun (s, (x, y, z)) ->
+      let open Obs.Span in
+      List.for_all
+        (fun (got, want) -> got = want)
+        [
+          (detail3 "i" x " r" y " (" z " msgs)", Printf.sprintf "i%d r%d (%d msgs)" x y z);
+          (detail2 "i" x " r1 (" y " msgs)", Printf.sprintf "i%d r1 (%d msgs)" x y);
+          (detail2 "i" x " (" y " msgs)", Printf.sprintf "i%d (%d msgs)" x y);
+          (detail2 "i" x " (" y " ids)", Printf.sprintf "i%d (%d ids)" x y);
+          (detail2 "i" x " r" y "", Printf.sprintf "i%d r%d" x y);
+          (detail2 "m " x "/" y "", Printf.sprintf "m %d/%d" x y);
+          (detail3 "m " x "/" y " (" z " B)", Printf.sprintf "m %d/%d (%d B)" x y z);
+          (detail2 "rb " x "/" y "", Printf.sprintf "rb %d/%d" x y);
+          (detail2 "seq " x " -> p" y "", Printf.sprintf "seq %d -> p%d" x y);
+          (* The network's interned transmit detail. *)
+          (detail1 (s ^ " -> p") x "", Printf.sprintf "%s -> p%d" s x);
+          (detail1 s x s, Printf.sprintf "%s%d%s" s x s);
+        ])
+
+let test_detail_allocates_its_string () =
+  let x = Sys.opaque_identity 4217 and y = Sys.opaque_identity 3 in
+  let z = Sys.opaque_identity min_int in
+  let before = Gc.minor_words () in
+  let s = Obs.Span.detail3 "i" x " r" y " (" z " msgs)" in
+  let words = Gc.minor_words () -. before in
+  (* A string of [l] bytes is a header and [l / 8 + 1] words. *)
+  Alcotest.(check (float 0.)) "minor words" (float_of_int (2 + (String.length s / 8))) words
+
+(* [with_span_ctx] restores the ambient context by hand; a raising thunk
+   must leave it as it found it and get its own exception back, with the
+   backtrace of the original raise. *)
+let raise_inside () = raise (Failure "inside")
+
+let contains s sub =
+  let n = String.length s and m = String.length sub in
+  let rec at i = i + m <= n && (String.sub s i m = sub || at (i + 1)) in
+  at 0
+
+let test_with_span_ctx_restores_on_raise () =
+  Printexc.record_backtrace true;
+  let obs = Obs.create () in
+  Obs.set_span_ctx obs 7;
+  let seen = ref Obs.Span.no_parent in
+  (match
+     Obs.with_span_ctx obs 42 (fun () ->
+         seen := Obs.span_ctx obs;
+         raise_inside ())
+   with
+  | () -> Alcotest.fail "the thunk's exception was swallowed"
+  | exception Failure msg ->
+    let raised_at = List.hd (String.split_on_char '\n' (Printexc.get_backtrace ())) in
+    Alcotest.(check string) "same exception" "inside" msg;
+    Alcotest.(check bool) ("backtrace starts at the raise site: " ^ raised_at) true
+      (contains raised_at "test_obs.ml"));
+  Alcotest.(check int) "context inside the thunk" 42 !seen;
+  Alcotest.(check int) "context restored after a raise" 7 (Obs.span_ctx obs);
+  Alcotest.(check int) "value returned" 5 (Obs.with_span_ctx obs 9 (fun () -> 5));
+  Alcotest.(check int) "context restored after a return" 7 (Obs.span_ctx obs)
+
 (* ---- Export shape ----
 
    The file writers stream what [span_lines] and [metric_lines] return,
@@ -334,7 +405,9 @@ let test_export_shape () =
   List.iteri
     (fun i detail ->
       clock := Time.of_ns (1000 * (i + 1));
-      ignore (Obs.span obs ~pid:(i mod 3) ~layer:`Consensus ~phase:"propose" ~detail ()))
+      ignore
+        (Obs.span obs ~parent:(Obs.span_ctx obs) ~pid:(i mod 3) ~layer:`Consensus
+           ~phase:"propose" ~detail))
     [ "plain"; "quote \" and \\"; "tab\tnl\n"; "dropped"; "dropped too" ];
   Obs.incr obs ~by:7 "net.msgs.consensus";
   Obs.set_gauge obs "run.throughput" 123.5;
@@ -587,6 +660,13 @@ let () =
           QCheck_alcotest.to_alcotest prop_renderer_matches_reference;
           QCheck_alcotest.to_alcotest prop_ints_and_strings_roundtrip;
           Alcotest.test_case "export shape" `Quick test_export_shape;
+        ] );
+      ( "span details",
+        [
+          QCheck_alcotest.to_alcotest prop_details_match_printf;
+          Alcotest.test_case "one string allocated" `Quick test_detail_allocates_its_string;
+          Alcotest.test_case "context restored on raise" `Quick
+            test_with_span_ctx_restores_on_raise;
         ] );
       ( "non-perturbation",
         [

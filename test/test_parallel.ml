@@ -77,8 +77,11 @@ let record_task obs k =
   Obs.incr obs (Printf.sprintf "task.%d.only" k);
   Obs.set_gauge obs "task.last" (float_of_int k);
   Obs.observe obs "task.lat" (float_of_int (10 * k));
-  let root = Obs.span obs ~pid:k ~layer:`App ~phase:"root" ~detail:(string_of_int k) () in
-  ignore (Obs.span obs ~parent:root ~pid:k ~layer:`App ~phase:"child" ())
+  let root =
+    Obs.span obs ~parent:(Obs.span_ctx obs) ~pid:k ~layer:`App ~phase:"root"
+      ~detail:(string_of_int k)
+  in
+  ignore (Obs.span obs ~parent:root ~pid:k ~layer:`App ~phase:"child" ~detail:"")
 
 let dump obs = String.concat "\n" (Jsonl.metric_lines ~tags:[] obs)
 

@@ -573,6 +573,36 @@ let test_report_file_roundtrip () =
           Alcotest.(check (float 1e-9)) "breakdown share" 0.2 b.Br.share
         | other -> Alcotest.failf "expected 1 breakdown row, got %d" (List.length other))
 
+(* ---- The allocation gate: minor words per recorded span ----
+
+   One small modular cell, run traced and then metrics-only with the same
+   seed. Recording never perturbs the run, so both execute the same
+   events and the difference in minor words is what recording allocated.
+   A span costs its record (8 words), its trace cell (3) and its detail,
+   one exact-size string or an interned one; details formatted with
+   [Printf] put this figure near 65. Minor words are deterministic for a
+   given binary, so the bound is a gate, not a timing. *)
+
+let cell_minor_words obs =
+  let config =
+    Experiment.config ~kind:Replica.Modular ~n:3 ~offered_load:1000.0 ~size:1024
+      ~warmup_s:0.05 ~measure_s:0.25 ~seed:3 ~arrival:Repro_workload.Generator.Poisson ()
+  in
+  let before = Gc.minor_words () in
+  ignore (Experiment.run ~obs config);
+  Gc.minor_words () -. before
+
+let test_words_per_span () =
+  let traced = Obs.create () in
+  let traced_words = cell_minor_words traced in
+  let metrics_words = cell_minor_words (Obs.create ~max_events:0 ()) in
+  let spans = Obs.span_count traced in
+  Alcotest.(check bool) "spans recorded" true (spans > 1000);
+  let per_span = (traced_words -. metrics_words) /. float_of_int spans in
+  if per_span > 30.0 then
+    Alcotest.failf "recording allocates %.1f minor words per span (%d spans), bound 30"
+      per_span spans
+
 let per_stack name f = List.map (fun s -> Alcotest.test_case (fst s) `Quick (f s)) stacks |> fun cases -> (name, cases)
 
 let () =
@@ -591,6 +621,7 @@ let () =
           Alcotest.test_case "checksum drop spans" `Quick test_checksum_drop_spans;
         ] );
       ("chrome-trace", [ Alcotest.test_case "export" `Quick test_chrome_export ]);
+      ("allocation", [ Alcotest.test_case "words per span" `Quick test_words_per_span ]);
       ( "jsonl",
         [
           Alcotest.test_case "span round-trip" `Quick test_span_jsonl_roundtrip;
